@@ -2,8 +2,8 @@
 
 The ``run`` command executes one Monte Carlo campaign per cube length and
 writes a CSV result table that is a pure function of the config bytes and
-the seed; wall times go to the console log only, so reruns and different
-worker counts produce byte-identical output files.
+the seed; wall times go to the console log only, so reruns produce
+byte-identical output files.
 """
 
 import csv
@@ -17,6 +17,7 @@ import numpy as np
 from .config import (
     SCHEMA_VERSION,
     ConfigError,
+    capacity_violations,
     effective_L0,
     event_query_for,
     parse_config,
@@ -66,8 +67,7 @@ def _load_config(path: str):
         raise click.ClickException(str(exc)) from exc
 
 
-def _require_valid(config):
-    problems = validate_config(config)
+def _require_valid(problems):
     if problems:
         raise click.ClickException(
             "config violation:\n" + "\n".join(f"  - {p}" for p in problems)
@@ -99,9 +99,8 @@ def main():
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None, help="Override run.seed.")
-@click.option("--workers", type=int, default=None, help="Override run.workers.")
 @click.pass_context
-def run(ctx, config_path, out_path, seed, workers):
+def run(ctx, config_path, out_path, seed):
     """Run the configured Monte Carlo campaign and write the CSV table.
 
     Exit status is 0 exactly when every campaign row passes its polynomial
@@ -110,23 +109,14 @@ def run(ctx, config_path, out_path, seed, workers):
     config = _load_config(config_path)
     if seed is not None:
         config = dataclasses.replace(config, run=dataclasses.replace(config.run, seed=seed))
-    if workers is not None:
-        config = dataclasses.replace(
-            config, run=dataclasses.replace(config.run, workers=workers)
-        )
-    _require_valid(config)
+    _require_valid(validate_config(config) + capacity_violations(config))
 
     rows = []
     all_passed = True
     for idx, L in enumerate(config.model.L_list):
         query = event_query_for(config, L)
         started = time.perf_counter()
-        result = mc_estimate(
-            query,
-            config.run.trials,
-            row_seed(config.run.seed, L, idx),
-            workers=config.run.workers,
-        )
+        result = mc_estimate(query, config.run.trials, row_seed(config.run.seed, L, idx))
         wall = time.perf_counter() - started
         threshold = float(L) ** (-config.wegner.q)
         passed = result.ci95[1] <= threshold
@@ -237,7 +227,7 @@ def lyapunov_sweep(config_path, out_path, seed):
 def dump_matrix(config_path, out_path, length, trial, seed):
     """Assemble one Hamiltonian and dump its nonzeros for cross-checking."""
     config = _load_config(config_path)
-    _require_valid(config)
+    _require_valid(validate_config(config))
     L = config.model.L_list[0] if length is None else length
     if L < 1:
         raise click.ClickException(f"length must be >= 1, got {L}")

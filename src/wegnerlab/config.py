@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .hamiltonian import InteractionSpec
 from .randomfield import DistributionSpec, derive_seed, validate
+from .spectral import DENSE_LIMIT
 from .wegner import EventQuery, delta0
 
 SCHEMA_VERSION = 1
@@ -50,7 +51,6 @@ class RunConfig:
     event: str
     trials: int
     seed: int
-    workers: int
     offset: tuple[int, ...] | None
 
 
@@ -141,7 +141,6 @@ def parse_config(text: str) -> ExperimentConfig:
             event=str(_get(run, "event", "run")),
             trials=int(_get(run, "trials", "run")),
             seed=int(run.get("seed", 0)),
-            workers=int(run.get("workers", 1)),
             offset=None if offset is None else tuple(int(o) for o in offset),
         ),
         sweep=None
@@ -191,7 +190,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
             "event": config.run.event,
             "trials": config.run.trials,
             "seed": config.run.seed,
-            "workers": config.run.workers,
             "offset": None if config.run.offset is None else list(config.run.offset),
         },
     }
@@ -230,8 +228,6 @@ def validate_config(config: ExperimentConfig) -> list[str]:
         problems.append(f"run.event must be one of {EVENT_KINDS}, got {config.run.event!r}")
     if config.run.trials < 1:
         problems.append(f"trials must be >= 1, got {config.run.trials}")
-    if config.run.workers < 1:
-        problems.append(f"workers must be >= 1, got {config.run.workers}")
     nd = config.model.n * config.model.d
     if config.run.offset is not None and len(config.run.offset) != nd:
         problems.append(
@@ -245,6 +241,17 @@ def validate_config(config: ExperimentConfig) -> list[str]:
         if config.sweep.e_min > config.sweep.e_max:
             problems.append("sweep.e_min must not exceed sweep.e_max")
     return problems
+
+
+def capacity_violations(config: ExperimentConfig) -> list[str]:
+    """Campaign lengths whose cube is too large for the dense eigensolver."""
+    nd = config.model.n * config.model.d
+    return [
+        f"L={L}: cube dim (2L+1)^(n*d) = {(2 * L + 1) ** nd} exceeds the "
+        f"dense eigensolver limit {DENSE_LIMIT}"
+        for L in config.model.L_list
+        if (2 * L + 1) ** nd > DENSE_LIMIT
+    ]
 
 
 def effective_L0(config: ExperimentConfig, L: int) -> int:

@@ -11,13 +11,11 @@ Hamiltonians, which the tensor module relies on.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import CapacityError
 from .lattice import Cube, coords_array
 from .randomfield import FieldSample
 
-DENSE_LIMIT = 4096
 _SCAN_LIMIT = 1 << 22
 
 
@@ -44,56 +42,79 @@ class InteractionSpec:
         return cls(kind="pair_contact", radius=int(radius), amplitude=float(amplitude))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymMatrix:
     """Real symmetric matrix in the cube enumeration basis.
 
-    Dense ndarray up to DENSE_LIMIT, scipy CSR above.  Symmetry is exact by
-    construction and checked bitwise on creation.
+    Stored as the diagonal plus the strictly upper triangle as
+    (rows, cols, vals) with rows < cols; each off-diagonal entry is held
+    once, so the matrix is symmetric by construction.
     """
 
-    dim: int
-    entries: object
-
-    def __post_init__(self):
-        if self.is_sparse:
-            if (self.entries != self.entries.T).nnz != 0:
-                raise ValueError("matrix entries are not exactly symmetric")
-        else:
-            self.entries = np.asarray(self.entries, dtype=np.float64)
-            if self.entries.shape != (self.dim, self.dim):
-                raise ValueError(
-                    f"entries shape {self.entries.shape} does not match dim {self.dim}"
-                )
-            if not np.array_equal(self.entries, self.entries.T):
-                raise ValueError("matrix entries are not exactly symmetric")
+    diag: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
 
     @property
-    def is_sparse(self) -> bool:
-        return sparse.issparse(self.entries)
+    def dim(self) -> int:
+        return self.diag.size
+
+    @classmethod
+    def from_entries(cls, dim: int, rows, cols, vals) -> "SymMatrix":
+        """From (row, col, value) triples; rejects entries not exactly mirrored."""
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=np.float64)
+        if np.any((rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim)):
+            raise ValueError(f"matrix entry index outside dim {dim}")
+        upper, lower = rows < cols, rows > cols
+        up = np.lexsort((cols[upper], rows[upper]))
+        down = np.lexsort((rows[lower], cols[lower]))
+        upper_entries = (rows[upper][up], cols[upper][up], vals[upper][up])
+        mirrored = (cols[lower][down], rows[lower][down], vals[lower][down])
+        if not all(map(np.array_equal, upper_entries, mirrored)):
+            raise ValueError("matrix entries are not exactly symmetric")
+        diag = np.zeros(dim)
+        on_diag = rows == cols
+        diag[rows[on_diag]] = vals[on_diag]
+        return cls(diag, *upper_entries)
+
+    @classmethod
+    def from_dense(cls, m) -> "SymMatrix":
+        """From a square array; rejects one that is not exactly symmetric."""
+        m = np.asarray(m, dtype=np.float64)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        rows, cols = np.nonzero(m)
+        return cls.from_entries(m.shape[0], rows, cols, m[rows, cols])
 
     def dense(self) -> np.ndarray:
-        return self.entries.toarray() if self.is_sparse else self.entries
+        m = np.diag(self.diag)
+        m[self.rows, self.cols] = self.vals
+        m[self.cols, self.rows] = self.vals
+        return m
 
     def diagonal(self) -> np.ndarray:
-        return np.asarray(self.entries.diagonal())
+        return self.diag
+
+    def gershgorin_radii(self) -> np.ndarray:
+        """Sum of |off-diagonal entries| per row."""
+        mags = np.abs(self.vals)
+        return np.bincount(self.rows, mags, self.dim) + np.bincount(self.cols, mags, self.dim)
 
     def inf_norm(self) -> float:
-        if self.is_sparse:
-            return float(abs(self.entries).sum(axis=1).max())
-        return float(np.abs(self.entries).sum(axis=1).max())
+        return float(np.max(np.abs(self.diag) + self.gershgorin_radii()))
 
     def nonzeros(self):
-        """Yield (row, col, value) sorted by (row, col)."""
-        if self.is_sparse:
-            coo = self.entries.tocoo()
-            order = np.lexsort((coo.col, coo.row))
-            for k in order:
-                yield int(coo.row[k]), int(coo.col[k]), float(coo.data[k])
-        else:
-            rows, cols = np.nonzero(self.entries)
-            for r, c in zip(rows.tolist(), cols.tolist()):
-                yield r, c, float(self.entries[r, c])
+        """Iterator over (row, col, value) of the nonzero entries, sorted by (row, col)."""
+        sites = np.arange(self.dim)
+        rows = np.concatenate([sites, self.rows, self.cols])
+        cols = np.concatenate([sites, self.cols, self.rows])
+        vals = np.concatenate([self.diag, self.vals, self.vals])
+        keep = vals != 0.0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        order = np.lexsort((cols, rows))
+        return zip(rows[order].tolist(), cols[order].tolist(), vals[order].tolist())
 
 
 def _pair_counts(coords: np.ndarray, n: int, d: int, radius: int) -> np.ndarray:
@@ -137,17 +158,11 @@ def interaction_sup_norm(cube: Cube, inter: InteractionSpec) -> float:
 
 def _diagonal(cube: Cube, field: FieldSample, inter: InteractionSpec, h: float) -> np.ndarray:
     n, d = cube.center.n, cube.center.d
-    side = cube.side
-    per_axis = side**d
-    dim = cube.site_count
-    diag = np.full(dim, 2.0 * n * d)
-    # Kronecker pattern: particle i's potential vector tiles the flat index.
-    for i in range(n):
-        pts = coords_array(cube.particle_cube(i))
-        v = field.values_at(pts)
-        inner = per_axis ** (n - 1 - i)
-        outer = per_axis**i
-        diag += np.tile(np.repeat(v, inner), outer)
+    potentials = field.values_at(cube.particle_points().reshape(-1, d)).reshape(n, -1)
+    # Kronecker sum: particle i's potential varies along flat-index digit i.
+    diag = 2.0 * n * d + potentials[0]
+    for v in potentials[1:]:
+        diag = np.add.outer(diag, v).ravel()
     if inter.kind != "none" and h != 0.0:
         diag = diag + h * interaction_values(cube, inter)
     return diag
@@ -176,28 +191,8 @@ def build_hamiltonian(
     off-diagonal entry is exactly -1 between cube sites at one_norm
     distance 1, and 0 elsewhere.
     """
-    dim = cube.site_count
-    diag = _diagonal(cube, field, inter, h)
-    if dim <= DENSE_LIMIT:
-        m = np.zeros((dim, dim))
-        np.fill_diagonal(m, diag)
-        for rows, cols in _hopping_pairs(cube):
-            m[rows, cols] = -1.0
-            m[cols, rows] = -1.0
-        return SymMatrix(dim=dim, entries=m)
-    all_rows = [np.arange(dim)]
-    all_cols = [np.arange(dim)]
-    all_vals = [diag]
-    for rows, cols in _hopping_pairs(cube):
-        ones = np.full(rows.size, -1.0)
-        all_rows += [rows, cols]
-        all_cols += [cols, rows]
-        all_vals += [ones, ones]
-    m = sparse.coo_matrix(
-        (np.concatenate(all_vals), (np.concatenate(all_rows), np.concatenate(all_cols))),
-        shape=(dim, dim),
-    ).tocsr()
-    return SymMatrix(dim=dim, entries=m)
+    rows, cols = (np.concatenate(part) for part in zip(*_hopping_pairs(cube)))
+    return SymMatrix(_diagonal(cube, field, inter, h), rows, cols, np.full(rows.size, -1.0))
 
 
 def write_matrix_dump(matrix: SymMatrix, stream):
@@ -212,7 +207,7 @@ def write_matrix_dump(matrix: SymMatrix, stream):
 
 
 def read_matrix_dump(stream) -> SymMatrix:
-    """Parse the write_matrix_dump format back into a dense SymMatrix."""
+    """Parse the write_matrix_dump format back into a SymMatrix."""
     dim = None
     triples = []
     for line in stream:
@@ -228,7 +223,5 @@ def read_matrix_dump(stream) -> SymMatrix:
         triples.append((int(r), int(c), float(v)))
     if dim is None:
         raise ValueError("matrix dump is missing the '# dim N' header")
-    m = np.zeros((dim, dim))
-    for r, c, v in triples:
-        m[r, c] = v
-    return SymMatrix(dim=dim, entries=m)
+    rows, cols, vals = zip(*triples) if triples else ((), (), ())
+    return SymMatrix.from_entries(dim, rows, cols, vals)

@@ -88,30 +88,38 @@ class Cube:
     def contains(self, site: Site) -> bool:
         return sup_norm(self.center, site) <= self.radius
 
-    def field_region(self) -> frozenset[tuple[int, ...]]:
-        """Union over particles of the single-particle cube points in Z^d."""
+    def field_region(self) -> np.ndarray:
+        """Union over particles of the single-particle cube points in Z^d.
+
+        A lexicographically sorted (m, d) int64 array of distinct points.
+        """
+        return distinct_points(self.particle_points().reshape(-1, self.center.d))
+
+    def particle_points(self) -> np.ndarray:
+        """(n, side^d, d) int64 array: the points of each single-particle cube.
+
+        Particle i's points are in lexicographic order, which is the order
+        of that particle's digit in the cube enumeration.
+        """
         d = self.center.d
-        points = set()
-        for i in range(self.center.n):
-            base = self.center.particle(i)
-            grids = np.meshgrid(
-                *[np.arange(c - self.radius, c + self.radius + 1) for c in base],
-                indexing="ij",
-            )
-            block = np.stack(grids, axis=-1).reshape(-1, d)
-            points.update(map(tuple, block.tolist()))
-        return frozenset(points)
+        offsets = np.indices((self.side,) * d, dtype=np.int64).reshape(d, -1).T - self.radius
+        return np.asarray(self.center.coords, dtype=np.int64).reshape(-1, 1, d) + offsets
+
+
+def distinct_points(points) -> np.ndarray:
+    """Distinct rows of an (m, d) integer array, in lexicographic order."""
+    pts = np.asarray(points, dtype=np.int64)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+    return pts[keep]
 
 
 def coords_array(cube: Cube) -> np.ndarray:
     """(site_count, n*d) int64 array of cube sites in lexicographic order."""
     nd = cube.center.n * cube.center.d
-    ranges = [
-        np.arange(c - cube.radius, c + cube.radius + 1, dtype=np.int64)
-        for c in cube.center.coords
-    ]
-    grids = np.meshgrid(*ranges, indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, nd)
+    offsets = np.indices((cube.side,) * nd, dtype=np.int64).reshape(nd, -1).T
+    return offsets + (np.asarray(cube.center.coords, dtype=np.int64) - cube.radius)
 
 
 def enumerate_sites(cube: Cube) -> list[Site]:

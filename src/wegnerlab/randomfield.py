@@ -4,7 +4,7 @@ Sampling is counter-based: the value at a lattice point is a pure function
 of (seed, trial, point coordinates), obtained by chaining the SplitMix64
 finalizer over those words and mapping the top 53 bits to [0, 1).  There is
 no generator state, so results do not depend on the order in which points
-are visited or on how trials are split across workers.
+are visited or in which trials run.
 """
 
 import math
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DistributionError, FieldCoverageError
+from .lattice import distinct_points
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -157,46 +158,50 @@ def draw_values(spec: DistributionSpec, points, seed: int, trial: int) -> np.nda
     return _transform(spec, hash_uniform01(seed, trial, points))
 
 
+def _row_keys(points: np.ndarray) -> np.ndarray:
+    """One structured scalar per row, ordered like the rows lexicographically."""
+    fields = [(f"f{k}", np.int64) for k in range(points.shape[1])]
+    return np.ascontiguousarray(points, dtype=np.int64).view(fields).ravel()
+
+
 @dataclass(frozen=True)
 class FieldSample:
     """One realization of the i.i.d. field over a finite region of Z^d.
 
-    The same sample serves all particle coordinates: the potential of a
+    ``points`` is a lexicographically sorted (m, d) int64 array of distinct
+    lattice points and ``values[k]`` the field at ``points[k]``.  The same
+    sample serves all particle coordinates: the potential of a
     configuration reads each particle position from this one map.
     """
 
-    region: frozenset[tuple[int, ...]]
-    values: dict[tuple[int, ...], float]
+    points: np.ndarray
+    values: np.ndarray
 
-    def value(self, point: tuple[int, ...]) -> float:
-        try:
-            return self.values[tuple(point)]
-        except KeyError:
-            raise FieldCoverageError(
-                f"field sample does not cover lattice point {tuple(point)}"
-            ) from None
+    def value(self, point) -> float:
+        return float(self.values_at([point])[0])
 
-    def values_at(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized lookup for an (m, d) array of points."""
-        return np.array([self.value(tuple(p)) for p in points.tolist()])
+    def values_at(self, points) -> np.ndarray:
+        """Field values at an (m, d) array of points, by binary search."""
+        points = np.atleast_2d(np.asarray(points, dtype=np.int64))
+        idx = np.searchsorted(_row_keys(self.points), _row_keys(points))
+        idx = np.minimum(idx, len(self.points) - 1)
+        hit = np.all(self.points[idx] == points, axis=1)
+        if not hit.all():
+            missing = tuple(int(c) for c in points[np.argmin(hit)])
+            raise FieldCoverageError(f"field sample does not cover lattice point {missing}")
+        return self.values[idx]
 
 
 def sample_field(spec: DistributionSpec, region, seed: int, trial: int) -> FieldSample:
-    """Sample the field on ``region``, keyed by (seed, trial).
+    """Sample the field on ``region``, an (m, d) array of points, keyed by (seed, trial).
 
-    Bit-identical for equal arguments regardless of the iteration order of
-    ``region`` or of concurrency, since each point is hashed independently.
+    Bit-identical for equal arguments regardless of the order of the
+    points in ``region``, since each point is hashed independently.
     """
     violations = validate(spec)
     if violations:
         raise DistributionError(
             "invalid distribution: " + "; ".join(violations)
         )
-    pts = sorted(tuple(int(c) for c in p) for p in region)
-    if not pts:
-        return FieldSample(region=frozenset(), values={})
-    vals = draw_values(spec, np.asarray(pts, dtype=np.int64), seed, trial)
-    return FieldSample(
-        region=frozenset(pts),
-        values={p: float(v) for p, v in zip(pts, vals)},
-    )
+    points = distinct_points(region)
+    return FieldSample(points=points, values=draw_values(spec, points, seed, trial))

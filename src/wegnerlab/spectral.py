@@ -15,8 +15,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CapacityError
-from .hamiltonian import DENSE_LIMIT, SymMatrix
+from .hamiltonian import SymMatrix
 
+DENSE_LIMIT = 4096
 _FACTOR_LIMIT = 8192
 
 
@@ -39,10 +40,7 @@ class Spectrum:
 def gershgorin_interval(a: SymMatrix) -> tuple[float, float]:
     """Interval [min diag - R, max diag + R] containing every eigenvalue."""
     diag = a.diagonal()
-    if a.is_sparse:
-        radii = np.asarray(abs(a.entries).sum(axis=1)).ravel() - np.abs(diag)
-    else:
-        radii = np.abs(a.entries).sum(axis=1) - np.abs(diag)
+    radii = a.gershgorin_radii()
     return float(np.min(diag - radii)), float(np.max(diag + radii))
 
 

@@ -5,18 +5,17 @@ the two-volume joint event) are evaluated exactly through interval algebra
 on sampled spectra; no grid approximation is involved.  All comparisons are
 closed (<=) to match the defining inequalities.  Probabilities are
 estimated by counting over counter-based trials, so the success count is
-bit-identical for a fixed seed regardless of worker count.
+bit-identical for a fixed seed.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DistributionError
 from .hamiltonian import InteractionSpec, build_hamiltonian, interaction_sup_norm
-from .lattice import Cube, Site
+from .lattice import Cube, Site, distinct_points
 from .randomfield import (
     DistributionSpec,
     FieldSample,
@@ -329,7 +328,7 @@ def validate_query(query: EventQuery) -> list[str]:
 def evaluate_event(query: EventQuery, seed: int, trial: int) -> bool:
     """Sample one field realization and decide the event exactly."""
     cubes = _query_cubes(query)
-    region = frozenset().union(*(c.field_region() for c in cubes))
+    region = distinct_points(np.concatenate([c.field_region() for c in cubes]))
     field = sample_field(query.distribution, region, seed, trial)
     spectra = [
         full_spectrum(build_hamiltonian(c, field, query.interaction, query.h))
@@ -342,29 +341,18 @@ def evaluate_event(query: EventQuery, seed: int, trial: int) -> bool:
     return two_volume_event(spectra[0], spectra[1], query.window, query.eps)
 
 
-def mc_estimate(query: EventQuery, trials: int, seed: int, workers: int = 1) -> MCResult:
+def mc_estimate(query: EventQuery, trials: int, seed: int) -> MCResult:
     """Estimate the event probability over counter-based trials.
 
     Trial t uses the field keyed by (seed, t), so the success count is a
-    pure function of (query, trials, seed): the worker count only changes
-    how the integer sum is assembled.
+    pure function of (query, trials, seed).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     problems = validate_query(query)
     if problems:
         raise DistributionError("invalid event query: " + "; ".join(problems))
-
-    def count_range(lo: int, hi: int) -> int:
-        return sum(evaluate_event(query, seed, t) for t in range(lo, hi))
-
-    if workers <= 1:
-        successes = count_range(0, trials)
-    else:
-        chunk = -(-trials // workers)
-        bounds = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            successes = sum(pool.map(lambda b: count_range(*b), bounds))
+    successes = sum(evaluate_event(query, seed, t) for t in range(trials))
     p_hat = successes / trials
     return MCResult(
         trials=trials,

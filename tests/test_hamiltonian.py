@@ -22,7 +22,7 @@ NONE = InteractionSpec.none()
 
 def zero_field(cube: Cube) -> FieldSample:
     region = cube.field_region()
-    return FieldSample(region=region, values={p: 0.0 for p in region})
+    return FieldSample(points=region, values=np.zeros(len(region)))
 
 
 def bernoulli_field(cube: Cube, seed: int, trial: int = 0) -> FieldSample:
@@ -132,8 +132,8 @@ def test_h_linearity():
 
 def test_missing_field_point_is_coverage_error():
     cube = Cube(Site(1, 1, (0,)), 1)
-    partial = FieldSample(region=frozenset({(0,)}), values={(0,): 1.0})
-    with pytest.raises(FieldCoverageError):
+    partial = FieldSample(points=np.array([[0]]), values=np.array([1.0]))
+    with pytest.raises(FieldCoverageError, match=r"\(-1,\)"):
         build_hamiltonian(cube, partial, NONE, 0.0)
 
 
@@ -162,14 +162,27 @@ def test_interaction_sup_norm_separated_centers_scans():
     assert interaction_sup_norm(near, InteractionSpec.pair_contact(0, 1.0)) == 1.0
 
 
-def test_sparse_representation_above_dense_limit():
+def test_assembly_above_dense_limit():
+    # two-point field with values {-2, 1}: the diagonal 2 + V is zero wherever V = -2
     cube = Cube(Site(1, 1, (0,)), 2500)  # 5001 sites
-    m = build_hamiltonian(cube, zero_field(cube), NONE, 0.0)
-    assert m.is_sparse
+    field = sample_field(DistributionSpec.bernoulli(0.5, -2.0, 1.0), cube.field_region(), 6, 0)
+    m = build_hamiltonian(cube, field, NONE, 0.0)
     assert m.dim == 5001
-    assert m.inf_norm() == 4.0
-    dense_row = m.entries.getrow(1).toarray().ravel()
-    assert dense_row[0] == -1.0 and dense_row[1] == 2.0 and dense_row[2] == -1.0
+    assert m.inf_norm() == 5.0
+    zero_sites = np.flatnonzero(m.diagonal() == 0.0)
+    assert 0 < zero_sites.size < m.dim
+    entries = list(m.nonzeros())
+    assert all(v != 0.0 for _, _, v in entries)
+    assert len(entries) == (m.dim - zero_sites.size) + 2 * (m.dim - 1)
+    assert entries == sorted(entries)
+    row = {c: v for r, c, v in entries if r == 1}
+    assert row[0] == -1.0 and row[2] == -1.0 and set(row) <= {0, 1, 2}
+    assert row.get(1, 0.0) == 2.0 + field.value((-2499,))
+    buf = io.StringIO()
+    write_matrix_dump(m, buf)
+    lines = buf.getvalue().splitlines()
+    assert len(lines) == 2 + len(entries)
+    assert not any(line.split()[2] in ("0.0", "-0.0") for line in lines[2:])
 
 
 def test_matrix_dump_round_trip():
@@ -185,7 +198,13 @@ def test_matrix_dump_round_trip():
 
 def test_symmatrix_rejects_asymmetric():
     with pytest.raises(ValueError, match="symmetric"):
-        SymMatrix(dim=2, entries=np.array([[0.0, 1.0], [0.5, 0.0]]))
+        SymMatrix.from_dense(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    with pytest.raises(ValueError, match="symmetric"):
+        read_matrix_dump(io.StringIO("# dim 2\n0 1 1.0\n1 0 0.5\n"))
+    with pytest.raises(ValueError, match="symmetric"):
+        read_matrix_dump(io.StringIO("# dim 3\n0 2 -1.0\n"))
+    with pytest.raises(ValueError, match="outside"):
+        read_matrix_dump(io.StringIO("# dim 2\n2 2 1.0\n"))
 
 
 def test_square_lattice_spectrum_separates():

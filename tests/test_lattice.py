@@ -114,7 +114,15 @@ def test_coords_array_matches_enumeration():
 def test_field_region_is_union_of_particle_boxes():
     cube = Cube(Site(2, 1, (0, 5)), 1)
     region = cube.field_region()
-    assert region == frozenset({(-1,), (0,), (1,), (4,), (5,), (6,)})
+    assert region.dtype == np.int64
+    assert region.tolist() == [[-1], [0], [1], [4], [5], [6]]
+    # overlapping particle cubes contribute each point once, sorted lexicographically
+    square = Cube(Site(2, 2, (0, 0, 1, -1)), 1).field_region()
+    steps = (-1, 0, 1)
+    expected = sorted(
+        {(cx + x, cy + y) for cx, cy in ((0, 0), (1, -1)) for x in steps for y in steps}
+    )
+    assert [tuple(p) for p in square.tolist()] == expected
 
 
 def test_particle_cube():

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sparse
 
 from wegnerlab.errors import CapacityError
 from wegnerlab.hamiltonian import InteractionSpec, SymMatrix, build_hamiltonian
@@ -20,7 +19,7 @@ from wegnerlab.spectral import (
 
 
 def diag_matrix(*values):
-    return SymMatrix(dim=len(values), entries=np.diag(np.asarray(values, dtype=float)))
+    return SymMatrix.from_dense(np.diag(np.asarray(values, dtype=float)))
 
 
 def random_hamiltonian(seed, n=1, d=1, L=12, h=0.0, inter=None):
@@ -38,19 +37,20 @@ def test_full_spectrum_diagonal():
 
 
 def test_full_spectrum_offdiagonal_pair():
-    s = full_spectrum(SymMatrix(dim=2, entries=np.array([[0.0, -1.0], [-1.0, 0.0]])))
+    s = full_spectrum(SymMatrix.from_dense(np.array([[0.0, -1.0], [-1.0, 0.0]])))
     assert np.allclose(s.eigenvalues, [-1.0, 1.0], atol=1e-14)
 
 
 def test_full_spectrum_dirichlet_chain():
     m = np.diag([2.0, 2.0, 2.0]) + np.diag([-1.0, -1.0], 1) + np.diag([-1.0, -1.0], -1)
-    ev = full_spectrum(SymMatrix(dim=3, entries=m)).eigenvalues
+    ev = full_spectrum(SymMatrix.from_dense(m)).eigenvalues
     expected = [2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)]
     assert np.allclose(ev, expected, atol=1e-10)
 
 
 def test_full_spectrum_capacity():
-    big = SymMatrix(dim=5000, entries=sparse.eye(5000).tocsr())
+    none = np.zeros(0, dtype=np.int64)
+    big = SymMatrix(np.ones(5000), none, none, np.zeros(0))
     with pytest.raises(CapacityError, match="count_below"):
         full_spectrum(big)
 

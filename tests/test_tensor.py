@@ -43,7 +43,7 @@ def test_decomposition_point_cube():
     # n=2, L=0 with constant potential c on the only point: direct entry 4 + 2c
     c = 0.7
     cube = Cube(Site(2, 1, (0, 0)), 0)
-    field = FieldSample(region=frozenset({(0,)}), values={(0,): c})
+    field = FieldSample(points=np.array([[0]]), values=np.array([c]))
     assert verify_decomposition(cube, field) == 0.0
     direct = build_hamiltonian(cube, field, InteractionSpec.none(), 0.0)
     assert np.array_equal(direct.dense(), [[4.0 + 2.0 * c]])
@@ -96,9 +96,7 @@ def test_shift_covariance():
     base = sample_field(
         DistributionSpec.bernoulli(0.5, 0.0, 1.0), cube.field_region(), 11, 0
     )
-    shifted = FieldSample(
-        region=base.region, values={p: v + 0.25 for p, v in base.values.items()}
-    )
+    shifted = FieldSample(points=base.points, values=base.values + 0.25)
     none = InteractionSpec.none()
 
     def sums(field):

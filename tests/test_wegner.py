@@ -14,6 +14,7 @@ from wegnerlab.wegner import (
     WegnerParams,
     decay_fit,
     delta0,
+    evaluate_event,
     fatten,
     fixed_energy_event,
     h_star,
@@ -244,11 +245,15 @@ def test_mc_estimate_always_true():
 
 
 def test_mc_estimate_worker_invariance():
+    # trials are independent of each other, so reruns and any split of the
+    # trial range into chunks give the same count
     query = _query(math.exp(-math.sqrt(8.0)), 2.0, L=8)
-    a = mc_estimate(query, trials=300, seed=4, workers=1)
-    b = mc_estimate(query, trials=300, seed=4, workers=3)
+    a = mc_estimate(query, trials=300, seed=4)
+    b = mc_estimate(query, trials=300, seed=4)
     assert a == b
     assert 0 < a.successes < 300
+    chunks = [range(200, 300), range(0, 200)]
+    assert sum(evaluate_event(query, 4, t) for chunk in chunks for t in chunk) == a.successes
 
 
 def test_mc_estimate_rejects_invalid_config_before_sampling():

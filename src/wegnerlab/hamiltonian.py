@@ -94,6 +94,18 @@ class SymMatrix:
         m[self.cols, self.rows] = self.vals
         return m
 
+    def banded(self) -> np.ndarray:
+        """Upper band storage ``ab`` with ``ab[bw + i - j, j] = a[i, j]``.
+
+        The band width bw is max(cols - rows), 0 without off-diagonals; the
+        lexicographic cube enumeration gives bw = side^(nd-1).
+        """
+        bw = int(np.max(self.cols - self.rows, initial=0))
+        ab = np.zeros((bw + 1, self.dim))
+        ab[bw] = self.diag
+        ab[bw + self.rows - self.cols, self.cols] = self.vals
+        return ab
+
     def diagonal(self) -> np.ndarray:
         return self.diag
 

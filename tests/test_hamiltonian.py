@@ -196,6 +196,30 @@ def test_matrix_dump_round_trip():
     assert np.array_equal(back.dense(), m.dense())
 
 
+def _unband(ab: np.ndarray) -> np.ndarray:
+    bw, dim = ab.shape[0] - 1, ab.shape[1]
+    m = np.zeros((dim, dim))
+    for k in range(bw + 1):
+        for j in range(bw - k, dim):
+            m[j - bw + k, j] = m[j, j - bw + k] = ab[k, j]
+    return m
+
+
+def test_banded_storage_holds_the_matrix():
+    for n, d, L in ((1, 1, 3), (2, 1, 2), (1, 2, 2), (3, 1, 1)):
+        cube = Cube(Site(n, d, (0,) * (n * d)), L)
+        m = build_hamiltonian(cube, bernoulli_field(cube, 8), NONE, 0.0)
+        ab = m.banded()
+        assert ab.shape == (cube.side ** (n * d - 1) + 1, m.dim)
+        assert np.array_equal(_unband(ab), m.dense())
+        buf = io.StringIO()
+        write_matrix_dump(m, buf)
+        back = read_matrix_dump(io.StringIO(buf.getvalue()))
+        assert np.array_equal(back.banded(), ab)
+    single = SymMatrix.from_dense(np.diag([3.0, -1.0]))
+    assert np.array_equal(single.banded(), [[3.0, -1.0]])
+
+
 def test_symmatrix_rejects_asymmetric():
     with pytest.raises(ValueError, match="symmetric"):
         SymMatrix.from_dense(np.array([[0.0, 1.0], [0.5, 0.0]]))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from wegnerlab.spectral import (
     resolvent_norm,
     smallest_singular_value,
 )
+from wegnerlab.tensor import sumset_spectrum
 
 
 def diag_matrix(*values):
@@ -100,14 +102,14 @@ def test_count_below_is_monotone_and_jumps_by_multiplicity():
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
-def test_count_below_degenerate_pivot_is_deterministic():
-    # E exactly on an eigenvalue of a two-point-disorder matrix
-    m = diag_matrix(1.0, 2.0, 3.0)
-    with pytest.warns(UserWarning, match="shifted"):
-        c1 = count_below(m, 2.0)
-    with pytest.warns(UserWarning, match="shifted"):
-        c2 = count_below(m, 2.0)
-    assert c1 == c2
+def test_count_below_is_strict_at_exact_eigenvalues():
+    # E exactly on an eigenvalue, as two-point disorder produces
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simple, degenerate = diag_matrix(1.0, 2.0, 3.0), diag_matrix(1.0, 1.0, 1.0, 4.0)
+        assert count_below(simple, 2.0) == 1
+        assert count_below(degenerate, 1.0) == 0
+        assert count_below(simple, 2.0) == count_below(simple, 2.0)
 
 
 def test_dist_examples():
@@ -117,20 +119,47 @@ def test_dist_examples():
     assert dist_to_spectrum(m, -1.0) == 2.0
 
 
-def test_dist_bisection_agrees_with_dense():
+def test_dist_agrees_with_dense_spectrum():
     rng = np.random.default_rng(17)
     for seed in range(20):
         m = random_hamiltonian(seed, L=20)
         lo, hi = gershgorin_interval(m)
         energy = float(rng.uniform(lo, hi))
-        dense = dist_to_spectrum(m, energy, method="dense")
-        bisect = dist_to_spectrum(m, energy, method="bisection")
-        assert abs(dense - bisect) <= 1e-9
+        dense = float(np.min(np.abs(full_spectrum(m).eigenvalues - energy)))
+        assert abs(dist_to_spectrum(m, energy) - dense) <= 1e-9
 
 
-def test_dist_unknown_method():
-    with pytest.raises(ValueError, match="method"):
-        dist_to_spectrum(diag_matrix(1.0), 0.0, method="exact")
+def test_dirichlet_chain_above_dense_limit():
+    # -laplacian + 2 on a chain of N sites: eigenvalues 2 - 2cos(k pi / (N+1))
+    n = 8201
+    rows = np.arange(n - 1)
+    chain = SymMatrix(np.full(n, 2.0), rows, rows + 1, np.full(n - 1, -1.0))
+    ev = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * math.pi / (n + 1))
+    k = n // 3
+    energy = 0.5 * (ev[k - 1] + ev[k])  # about 3e-4 from both neighbours
+    assert abs(dist_to_spectrum(chain, energy) - (energy - ev[k - 1])) <= 1e-9
+    assert count_below(chain, energy) == k
+    assert chain.banded().shape == (2, n)
+
+
+def test_two_particle_distances_match_sumset():
+    cube = Cube(Site(2, 1, (0, 0)), 20)
+    field = sample_field(
+        DistributionSpec.bernoulli(0.5, 0.0, 1.0), cube.field_region(), 5, 0
+    )
+    none = InteractionSpec.none()
+    m = build_hamiltonian(cube, field, none, 0.0)
+    assert m.dim == 1681 and m.banded().shape == (42, 1681)
+    singles = [
+        full_spectrum(build_hamiltonian(cube.particle_cube(i), field, none, 0.0))
+        for i in range(2)
+    ]
+    sums = sumset_spectrum(singles).sums
+    gaps = np.flatnonzero(np.diff(sums) > 1e-6)
+    for i in gaps[[0, gaps.size // 2, -1]]:
+        energy = 0.5 * (sums[i] + sums[i + 1])
+        assert abs(dist_to_spectrum(m, energy) - np.min(np.abs(sums - energy))) <= 1e-9
+        assert count_below(m, energy) == i + 1
 
 
 def test_resolvent_norm_examples():

@@ -1,9 +1,9 @@
 """Resonance statistics of finite-volume multi-particle Anderson operators.
 
 Builds n-particle lattice Hamiltonians with i.i.d. (in particular two-point)
-disorder on cubes, computes their spectra, evaluates resonance events
-exactly through interval algebra, and estimates event probabilities by
-reproducible counter-based Monte Carlo.
+disorder on cubes, computes their spectra, decides resonance events
+exactly by closed comparisons on the sorted spectra, and estimates event
+probabilities by reproducible counter-based Monte Carlo.
 """
 
 from .errors import (
@@ -18,7 +18,7 @@ from .hamiltonian import (
     build_hamiltonian,
     interaction_sup_norm,
 )
-from .lattice import Cube, Site, enumerate_sites, index_of, one_norm, sup_norm
+from .lattice import Cube, Site, sup_norm
 from .randomfield import DistributionSpec, FieldSample, sample_field, validate
 from .spectral import (
     Spectrum,
@@ -33,12 +33,9 @@ from .transfer import LyapunovEstimate, lyapunov, transfer_matrix
 from .wegner import (
     DecayFit,
     EventQuery,
-    IntervalUnion,
     MCResult,
-    WegnerParams,
     decay_fit,
     delta0,
-    fatten,
     fixed_energy_event,
     h_star,
     mc_estimate,

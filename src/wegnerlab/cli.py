@@ -126,9 +126,6 @@ def run(ctx, config_path, out_path, seed):
             f"p_hat={result.p_hat:.6g} ci95=[{result.ci95[0]:.3g}, {result.ci95[1]:.3g}] "
             f"threshold={threshold:.3g} pass={passed} wall={wall:.2f}s"
         )
-        effective_offset = query.offset
-        if query.kind == "two_volume" and effective_offset is None:
-            effective_offset = (2 * L + 1,) + (0,) * (config.model.n * config.model.d - 1)
         rows.append(
             {
                 "schema_version": SCHEMA_VERSION,
@@ -148,8 +145,8 @@ def run(ctx, config_path, out_path, seed):
                 "distribution": _describe_distribution(config.model.distribution),
                 "interaction": _describe_interaction(config.model.interaction),
                 "offset": ""
-                if effective_offset is None
-                else ",".join(str(o) for o in effective_offset),
+                if query.offset is None
+                else ",".join(str(o) for o in query.offset),
                 "trials": result.trials,
                 "seed": config.run.seed,
                 "successes": result.successes,
@@ -239,3 +236,7 @@ def dump_matrix(config_path, out_path, length, trial, seed):
     with open(out_path, "w") as f:
         write_matrix_dump(matrix, f)
     click.echo(f"wrote dim-{matrix.dim} matrix dump to {out_path}")
+
+
+if __name__ == "__main__":
+    main()

@@ -2,7 +2,7 @@
 
 The operator is  H = -laplacian + sum_j V(x_j) + h*U  with the kinetic part
 stored positive semidefinite: +2nd on the diagonal and -1 on every pair of
-cube sites at one_norm distance 1.  The cube restriction is the Dirichlet
+cube sites at l1 distance 1.  The cube restriction is the Dirichlet
 one: hopping terms leaving the cube are dropped, the diagonal is untouched.
 This keeps the h=0 operator an exact Kronecker sum of the n single-particle
 Hamiltonians, which the tensor module relies on.
@@ -200,7 +200,7 @@ def build_hamiltonian(
     """Assemble H on the cube in enumeration order.
 
     Diagonal entry at configuration x is 2nd + sum_j V(x_j) + h*U(x); the
-    off-diagonal entry is exactly -1 between cube sites at one_norm
+    off-diagonal entry is exactly -1 between cube sites at l1
     distance 1, and 0 elsewhere.
     """
     rows, cols = (np.concatenate(part) for part in zip(*_hopping_pairs(cube)))

@@ -51,12 +51,6 @@ def sup_norm(a: Site, b: Site) -> int:
     return max(abs(x - y) for x, y in zip(a.coords, b.coords))
 
 
-def one_norm(a: Site, b: Site) -> int:
-    """sum_i |a_i - b_i| over all n*d components."""
-    _check_same_shape(a, b)
-    return sum(abs(x - y) for x, y in zip(a.coords, b.coords))
-
-
 @dataclass(frozen=True)
 class Cube:
     """Sup-norm ball of radius L around a center configuration.
@@ -120,37 +114,3 @@ def coords_array(cube: Cube) -> np.ndarray:
     nd = cube.center.n * cube.center.d
     offsets = np.indices((cube.side,) * nd, dtype=np.int64).reshape(nd, -1).T
     return offsets + (np.asarray(cube.center.coords, dtype=np.int64) - cube.radius)
-
-
-def enumerate_sites(cube: Cube) -> list[Site]:
-    """All (2L+1)^(n*d) sites of the cube, lexicographic in the flat coords."""
-    n, d = cube.center.n, cube.center.d
-    return [Site(n, d, tuple(row)) for row in coords_array(cube).tolist()]
-
-
-def index_of(cube: Cube, site: Site) -> int:
-    """Ordinal of a site in the enumeration order; O(n*d) mixed-radix lookup."""
-    _check_same_shape(cube.center, site)
-    if not cube.contains(site):
-        raise ValueError(f"site {site.coords} outside cube of radius {cube.radius}")
-    side = cube.side
-    k = 0
-    for c, c0 in zip(site.coords, cube.center.coords):
-        k = k * side + (c - c0 + cube.radius)
-    return k
-
-
-def site_at(cube: Cube, k: int) -> Site:
-    """Inverse of index_of."""
-    if not 0 <= k < cube.site_count:
-        raise ValueError(f"index {k} out of range for cube with {cube.site_count} sites")
-    side = cube.side
-    digits = []
-    for _ in range(cube.center.n * cube.center.d):
-        digits.append(k % side)
-        k //= side
-    digits.reverse()
-    coords = tuple(
-        c0 - cube.radius + g for c0, g in zip(cube.center.coords, digits)
-    )
-    return Site(cube.center.n, cube.center.d, coords)

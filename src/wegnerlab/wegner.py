@@ -1,9 +1,9 @@
 """Resonance events, perturbation thresholds, and Monte Carlo estimation.
 
 The three event kinds (fixed energy, variable energy over an interval, and
-the two-volume joint event) are evaluated exactly through interval algebra
-on sampled spectra; no grid approximation is involved.  All comparisons are
-closed (<=) to match the defining inequalities.  Probabilities are
+the two-volume joint event) are decided exactly by comparisons on the
+sorted sampled spectra; no grid approximation is involved.  All comparisons
+are closed (<=) to match the defining inequalities.  Probabilities are
 estimated by counting over counter-based trials, so the success count is
 bit-identical for a fixed seed.
 """
@@ -27,94 +27,6 @@ from .spectral import Spectrum, dist_to_spectrum, full_spectrum
 _WILSON_Z = 1.96
 
 
-@dataclass(frozen=True)
-class WegnerParams:
-    """Parameter bundle for the resonance-probability campaigns."""
-
-    beta: float
-    sigma: float
-    L0: int
-    q: float
-    h: float = 0.0
-    E0: float = 0.0
-    interval: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.L0 < 1:
-            raise ValueError(f"L0 must be a positive integer, got {self.L0}")
-        if self.interval is not None and self.interval[0] > self.interval[1]:
-            raise ValueError(f"empty interval {self.interval}")
-
-
-@dataclass(frozen=True)
-class IntervalUnion:
-    """Disjoint closed intervals, sorted, with strictly positive gaps."""
-
-    intervals: tuple[tuple[float, float], ...]
-
-    @classmethod
-    def from_intervals(cls, raw) -> "IntervalUnion":
-        """Merge arbitrary closed intervals; touching intervals merge."""
-        spans = sorted((float(lo), float(hi)) for lo, hi in raw if lo <= hi)
-        merged: list[tuple[float, float]] = []
-        for lo, hi in spans:
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        return cls(intervals=tuple(merged))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-    def total_length(self) -> float:
-        return sum(hi - lo for lo, hi in self.intervals)
-
-    def contains(self, x: float) -> bool:
-        for lo, hi in self.intervals:
-            if lo <= x <= hi:
-                return True
-            if lo > x:
-                break
-        return False
-
-    def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
-        """Linear sweep over the two sorted interval lists."""
-        out = []
-        i = j = 0
-        a, b = self.intervals, other.intervals
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo <= hi:
-                out.append((lo, hi))
-            if a[i][1] < b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return IntervalUnion(intervals=tuple(out))
-
-    def clip(self, lo: float, hi: float) -> "IntervalUnion":
-        return self.intersect(IntervalUnion(intervals=((lo, hi),)))
-
-
-def fatten(spec: Spectrum, eps: float) -> IntervalUnion:
-    """Union of [lambda - eps, lambda + eps] over all eigenvalues."""
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    ev = spec.eigenvalues
-    return IntervalUnion.from_intervals(zip(ev - eps, ev + eps))
-
-
-def spectrum_dist(spec: Spectrum, energy: float) -> float:
-    return float(np.min(np.abs(spec.eigenvalues - energy)))
-
-
 def interval_dist(spec: Spectrum, interval: tuple[float, float]) -> float:
     """min over eigenvalues of dist(lambda, [lo, hi])."""
     lo, hi = interval
@@ -124,7 +36,7 @@ def interval_dist(spec: Spectrum, interval: tuple[float, float]) -> float:
 
 def fixed_energy_event(spec: Spectrum, energy: float, eps: float) -> bool:
     """dist(E, spectrum) <= eps, boundary inclusive."""
-    return spectrum_dist(spec, energy) <= eps
+    return interval_dist(spec, (energy, energy)) <= eps
 
 
 def variable_energy_event(spec: Spectrum, interval, eps: float) -> bool:
@@ -142,14 +54,21 @@ def variable_energy_event(spec: Spectrum, interval, eps: float) -> bool:
 def two_volume_event(spec_x: Spectrum, spec_y: Spectrum, interval, eps: float) -> bool:
     """Exists E in the interval within eps of both spectra.
 
-    Equivalent to a nonempty three-way intersection of the two fattened
-    spectra with the interval, computed by a linear sweep.
+    Some E lies in [x - eps, x + eps], [y - eps, y + eps] and [lo, hi] iff
+    the three closed intervals pairwise overlap.  Eigenvalues whose fattened
+    interval misses the window are dropped; for each remaining x, the y with
+    y + eps >= x - eps and y - eps <= x + eps form a contiguous run of the
+    sorted y, located by two binary searches.
     """
     lo, hi = interval
     if lo > hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")
-    joint = fatten(spec_x, eps).intersect(fatten(spec_y, eps))
-    return not joint.clip(lo, hi).is_empty
+    x, y = spec_x.eigenvalues, spec_y.eigenvalues
+    x = x[(x - eps <= hi) & (x + eps >= lo)]
+    y = y[(y - eps <= hi) & (y + eps >= lo)]
+    first = np.searchsorted(y + eps, x - eps, side="left")
+    stop = np.searchsorted(y - eps, x + eps, side="right")
+    return bool(np.any(first < stop))
 
 
 def h_star(u_norm: float, sigma: float, L0: int, beta: float) -> float:
@@ -271,8 +190,9 @@ class EventQuery:
 
     ``energy`` is used by the fixed-energy kind, ``window`` by the variable
     and two-volume kinds.  ``offset`` displaces the second cube center for
-    the two-volume kind; the default is 2L+1 along the first coordinate,
-    which makes the two configuration cubes disjoint.
+    the two-volume kind; when it is None there, it resolves on construction
+    to 2L+1 along the first coordinate, which makes the two configuration
+    cubes disjoint.
     """
 
     kind: str
@@ -288,6 +208,11 @@ class EventQuery:
     center: tuple[int, ...] | None = None
     offset: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        if self.kind == "two_volume" and self.offset is None:
+            nd = self.n * self.d
+            object.__setattr__(self, "offset", (2 * self.L + 1,) + (0,) * (nd - 1))
+
 
 def _query_cubes(query: EventQuery) -> list[Cube]:
     nd = query.n * query.d
@@ -297,12 +222,9 @@ def _query_cubes(query: EventQuery) -> list[Cube]:
     first = Cube(Site(query.n, query.d, center), query.L)
     if query.kind != "two_volume":
         return [first]
-    offset = tuple(query.offset) if query.offset is not None else (
-        (2 * query.L + 1,) + (0,) * (nd - 1)
-    )
-    if len(offset) != nd:
-        raise ValueError(f"offset length {len(offset)} != n*d = {nd}")
-    second_center = tuple(c + o for c, o in zip(center, offset))
+    if len(query.offset) != nd:
+        raise ValueError(f"offset length {len(query.offset)} != n*d = {nd}")
+    second_center = tuple(c + o for c, o in zip(center, query.offset))
     return [first, Cube(Site(query.n, query.d, second_center), query.L)]
 
 

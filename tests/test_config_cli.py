@@ -1,11 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import wegnerlab
 from wegnerlab.cli import main
 from wegnerlab.config import (
     ConfigError,
@@ -150,6 +154,24 @@ def test_run_emits_one_row_per_length(tmp_path):
     for column in ("L", "successes", "p_hat", "ci_lo", "ci_hi", "threshold", "pass"):
         assert column in header
     assert "wall" not in lines[0]
+
+
+def test_python_dash_m_matches_cli_runner(tmp_path):
+    # a failing campaign: the module entry points must exit 1 and write the
+    # same bytes as the click entry point, not exit 0 having done nothing
+    config = write_config(tmp_path, make_config(**{"model.L_list": [2], "run.trials": 20}))
+    expected = tmp_path / "runner.csv"
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(expected)])
+    assert result.exit_code == 1, result.output
+    src = str(Path(wegnerlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    for module in ("wegnerlab", "wegnerlab.cli"):
+        out = tmp_path / f"{module}.csv"
+        argv = [sys.executable, "-m", module, "run", "--config", str(config), "--out", str(out)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, (module, proc.stdout, proc.stderr)
+        assert out.read_bytes() == expected.read_bytes()
 
 
 def test_run_two_volume_records_offset(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,17 +6,14 @@ import pytest
 
 from wegnerlab.errors import DistributionError
 from wegnerlab.hamiltonian import InteractionSpec
-from wegnerlab.lattice import Cube, Site
+from wegnerlab.lattice import Cube, Site, sup_norm
 from wegnerlab.randomfield import DistributionSpec, sample_field
 from wegnerlab.spectral import Spectrum
 from wegnerlab.wegner import (
     EventQuery,
-    IntervalUnion,
-    WegnerParams,
     decay_fit,
     delta0,
     evaluate_event,
-    fatten,
     fixed_energy_event,
     h_star,
     mc_estimate,
@@ -32,64 +30,42 @@ def spectrum_of(*values):
     return Spectrum(eigenvalues=np.asarray(sorted(values), dtype=float), dim=len(values))
 
 
-def test_wegner_params_validation():
-    WegnerParams(beta=0.5, sigma=1.0, L0=3, q=2.0)
-    with pytest.raises(ValueError):
-        WegnerParams(beta=1.0, sigma=1.0, L0=3, q=2.0)
-    with pytest.raises(ValueError):
-        WegnerParams(beta=0.5, sigma=0.0, L0=3, q=2.0)
-    with pytest.raises(ValueError):
-        WegnerParams(beta=0.5, sigma=1.0, L0=3, q=2.0, interval=(1.0, 0.0))
-
-
-def test_fatten_disjoint():
-    u = fatten(spectrum_of(0.0, 10.0), 1.0)
-    assert u.intervals == ((-1.0, 1.0), (9.0, 11.0))
-
-
-def test_fatten_merges_touching():
-    u = fatten(spectrum_of(0.0, 1.0), 0.5)
-    assert u.intervals == ((-0.5, 1.5),)
-
-
-def test_fatten_singleton():
-    u = fatten(spectrum_of(3.0), 0.25)
-    assert u.intervals == ((2.75, 3.25),)
-
-
-def test_fatten_total_length_bound():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        ev = np.sort(rng.uniform(0, 10, int(rng.integers(1, 9))))
-        spec = Spectrum(eigenvalues=ev, dim=ev.size)
-        eps = float(rng.uniform(0.01, 2.0))
-        u = fatten(spec, eps)
-        assert u.total_length() <= 2 * eps * ev.size + 1e-12
-        gaps = [b[0] - a[1] for a, b in zip(u.intervals, u.intervals[1:])]
-        assert all(g > 0 for g in gaps)
-
-
-def test_interval_union_intersect():
-    a = IntervalUnion(intervals=((0.0, 2.0), (5.0, 6.0)))
-    b = IntervalUnion(intervals=((1.0, 5.5),))
-    assert a.intersect(b).intervals == ((1.0, 2.0), (5.0, 5.5))
-    assert a.intersect(IntervalUnion(intervals=())).is_empty
-
-
 def test_fixed_event_boundary_inclusive():
     spec = spectrum_of(1.0, 3.0)
     assert not fixed_energy_event(spec, 2.0, 0.5)
     assert fixed_energy_event(spec, 2.0, 1.0)
 
 
-def test_fixed_event_matches_fatten_membership():
+def test_events_match_dyadic_brute_force():
+    # Dyadic eigenvalues, energies, windows and eps make every comparison
+    # exact, so exact ties (x - y == 2 eps, a window on a fattened
+    # endpoint) are frequent; closed comparisons must count them.
     rng = np.random.default_rng(12)
-    for _ in range(1000):
+
+    def dyadic_spectrum():
         ev = np.sort(rng.integers(0, 1281, int(rng.integers(1, 10))) / 64.0)
-        spec = Spectrum(eigenvalues=ev, dim=ev.size)
+        return Spectrum(eigenvalues=ev, dim=ev.size)
+
+    ties = 0
+    for _ in range(1000):
         eps = [0.25, 0.125, 0.0625][int(rng.integers(0, 3))]
+        spec = dyadic_spectrum()
         energy = float(rng.integers(0, 1281)) / 64.0
-        assert fixed_energy_event(spec, energy, eps) == fatten(spec, eps).contains(energy)
+        ev = spec.eigenvalues
+        member = any(lam - eps <= energy <= lam + eps for lam in ev.tolist())
+        assert fixed_energy_event(spec, energy, eps) == member
+
+        sx, sy = spec, dyadic_spectrum()
+        lo = float(rng.integers(0, 1281)) / 64.0
+        window = (lo, lo + float(rng.integers(0, 129)) / 64.0)
+        brute = any(
+            max(x - eps, y - eps, window[0]) <= min(x + eps, y + eps, window[1])
+            for x in sx.eigenvalues.tolist()
+            for y in sy.eigenvalues.tolist()
+        )
+        assert two_volume_event(sx, sy, window, eps) == brute
+        ties += bool(np.any(np.abs(sx.eigenvalues[:, None] - sy.eigenvalues) == 2 * eps))
+    assert ties > 0
 
 
 def test_variable_event_examples():
@@ -99,7 +75,17 @@ def test_variable_event_examples():
 
 def test_two_volume_examples():
     assert not two_volume_event(spectrum_of(0.0), spectrum_of(10.0), (0.0, 10.0), 1.0)
+    # exact tie x - y == 2 eps: the fattened intervals share the point 5
     assert two_volume_event(spectrum_of(4.0), spectrum_of(6.0), (0.0, 10.0), 1.0)
+    assert two_volume_event(spectrum_of(6.0), spectrum_of(4.0), (5.0, 5.0), 1.0)
+    assert not two_volume_event(spectrum_of(4.0), spectrum_of(6.0), (0.0, 10.0), 0.984375)
+    # the joint set of 3.0 and 3.5 at eps 0.5 is [3.0, 3.5]; windows touching
+    # either endpoint count, windows one dyadic step away do not
+    x, y = spectrum_of(3.0, 9.0), spectrum_of(-4.0, 3.5)
+    assert two_volume_event(x, y, (3.5, 5.0), 0.5)
+    assert two_volume_event(x, y, (1.0, 3.0), 0.5)
+    assert not two_volume_event(x, y, (3.515625, 5.0), 0.5)
+    assert not two_volume_event(x, y, (1.0, 2.984375), 0.5)
 
 
 def test_event_monotone_in_eps():
@@ -299,8 +285,14 @@ def test_two_volume_query_uses_disjoint_default_offset():
         eps=math.exp(-math.sqrt(2.0)),
         window=(0.3 - 0.1, 0.3 + 0.1),
     )
+    assert query.offset == (5, 0)
+    first, second = Site(2, 1, (0, 0)), Site(2, 1, query.offset)
+    assert sup_norm(first, second) > 2 * query.L  # the two cubes are disjoint
     result = mc_estimate(query, trials=50, seed=3)
     assert result.trials == 50
+    explicit = dataclasses.replace(query, offset=(0, 7))
+    assert explicit.offset == (0, 7)
+    assert dataclasses.replace(query, kind="variable", offset=None).offset is None
 
 
 def _mc(successes, trials):

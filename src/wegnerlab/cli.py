@@ -14,50 +14,22 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import transfer
 from .config import (
     SCHEMA_VERSION,
     ConfigError,
-    capacity_violations,
     effective_L0,
     event_query_for,
     parse_config,
     row_seed,
     validate_config,
+    validate_sweep,
 )
 from .hamiltonian import build_hamiltonian, write_matrix_dump
 from .lattice import Cube, Site
 from .randomfield import sample_field
-from .transfer import lyapunov
 from .verify import ALL_SUITES, run_suites
-from .wegner import mc_estimate
-
-CSV_COLUMNS = [
-    "schema_version",
-    "event",
-    "n",
-    "d",
-    "L",
-    "beta",
-    "sigma",
-    "L0",
-    "q",
-    "E0",
-    "h",
-    "eps",
-    "window_lo",
-    "window_hi",
-    "distribution",
-    "interaction",
-    "offset",
-    "trials",
-    "seed",
-    "successes",
-    "p_hat",
-    "ci_lo",
-    "ci_hi",
-    "threshold",
-    "pass",
-]
+from .wegner import mc_estimate, validate_query
 
 
 def _load_config(path: str):
@@ -109,12 +81,16 @@ def run(ctx, config_path, out_path, seed):
     config = _load_config(config_path)
     if seed is not None:
         config = dataclasses.replace(config, run=dataclasses.replace(config.run, seed=seed))
-    _require_valid(validate_config(config) + capacity_violations(config))
+    _require_valid(validate_config(config))
+    queries = [event_query_for(config, L) for L in config.model.L_list]
+    _require_valid(
+        [f"L={q.L}: {problem}" for q in queries for problem in validate_query(q)]
+    )
 
     rows = []
     all_passed = True
-    for idx, L in enumerate(config.model.L_list):
-        query = event_query_for(config, L)
+    for idx, query in enumerate(queries):
+        L = query.L
         started = time.perf_counter()
         result = mc_estimate(query, config.run.trials, row_seed(config.run.seed, L, idx))
         wall = time.perf_counter() - started
@@ -159,7 +135,7 @@ def run(ctx, config_path, out_path, seed):
         )
 
     with open(out_path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
+        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     click.echo(f"wrote {len(rows)} rows to {out_path}")
@@ -202,17 +178,20 @@ def lyapunov_sweep(config_path, out_path, seed):
     sweep = config.sweep
     if sweep is None:
         raise click.ClickException("config has no 'sweep' section")
+    _require_valid(validate_sweep(sweep))
     base_seed = config.run.seed if seed is None else seed
-    energies = np.linspace(sweep.e_min, sweep.e_max, sweep.points)
+    estimates = transfer.lyapunov_sweep(
+        np.linspace(sweep.e_min, sweep.e_max, sweep.points),
+        config.model.distribution,
+        sweep.steps,
+        base_seed,
+    )
     with open(out_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["energy", "gamma_hat", "stderr"])
-        for k, energy in enumerate(energies):
-            est = lyapunov(
-                float(energy), config.model.distribution, sweep.steps, base_seed, trial=k
-            )
-            writer.writerow([repr(float(energy)), repr(est.gamma_hat), repr(est.stderr)])
-    click.echo(f"wrote {len(energies)} rows to {out_path}")
+        for energy, est in estimates:
+            writer.writerow([repr(energy), repr(est.gamma_hat), repr(est.stderr)])
+    click.echo(f"wrote {len(estimates)} rows to {out_path}")
 
 
 @main.command("dump-matrix")

@@ -2,8 +2,9 @@
 
 The config document is plain JSON with three required sections (``model``,
 ``wegner``, ``run``) and an optional ``sweep`` section for the Lyapunov
-energy sweep; see the README for the full schema.  Parsing and
-serialization round-trip exactly.
+energy sweep; see the README for the full schema.  Non-finite numbers
+(``NaN``, ``Infinity``, or a literal such as ``1e999`` that overflows) are
+rejected while parsing.
 """
 
 import json
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 
 from .hamiltonian import InteractionSpec
 from .randomfield import DistributionSpec, derive_seed, validate
-from .spectral import DENSE_LIMIT
 from .wegner import EventQuery, delta0
 
 SCHEMA_VERSION = 1
@@ -106,9 +106,20 @@ def _parse_interaction(obj: dict) -> InteractionSpec:
     raise ConfigError(f"unknown interaction kind {kind!r}")
 
 
+def _reject_non_finite(literal: str):
+    raise ConfigError(f"config number {literal} is not finite")
+
+
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        _reject_non_finite(literal)
+    return value
+
+
 def parse_config(text: str) -> ExperimentConfig:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_finite_float, parse_constant=_reject_non_finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -154,59 +165,6 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
-def _distribution_dict(spec: DistributionSpec) -> dict:
-    if spec.kind == "bernoulli":
-        return {"kind": "bernoulli", "p": spec.p, "lo": spec.lo, "hi": spec.hi}
-    if spec.kind == "uniform":
-        return {"kind": "uniform", "lo": spec.lo, "hi": spec.hi}
-    return {"kind": "finite", "values": list(spec.values), "weights": list(spec.weights)}
-
-
-def _interaction_dict(spec: InteractionSpec) -> dict:
-    if spec.kind == "none":
-        return {"kind": "none"}
-    return {"kind": "pair_contact", "range": spec.radius, "amplitude": spec.amplitude}
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    doc = {
-        "model": {
-            "n": config.model.n,
-            "d": config.model.d,
-            "L_list": list(config.model.L_list),
-            "distribution": _distribution_dict(config.model.distribution),
-            "interaction": _interaction_dict(config.model.interaction),
-            "h": config.model.h,
-        },
-        "wegner": {
-            "beta": config.wegner.beta,
-            "sigma": config.wegner.sigma,
-            "L0": config.wegner.L0,
-            "q": config.wegner.q,
-            "E0": config.wegner.E0,
-            "half_width": config.wegner.half_width,
-        },
-        "run": {
-            "event": config.run.event,
-            "trials": config.run.trials,
-            "seed": config.run.seed,
-            "offset": None if config.run.offset is None else list(config.run.offset),
-        },
-    }
-    if config.sweep is not None:
-        doc["sweep"] = {
-            "e_min": config.sweep.e_min,
-            "e_max": config.sweep.e_max,
-            "points": config.sweep.points,
-            "steps": config.sweep.steps,
-        }
-    return doc
-
-
-def serialize_config(config: ExperimentConfig) -> str:
-    return json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n"
-
-
 def validate_config(config: ExperimentConfig) -> list[str]:
     """All config violations, empty when runnable."""
     problems = [f"distribution: {v}" for v in validate(config.model.distribution)]
@@ -234,24 +192,20 @@ def validate_config(config: ExperimentConfig) -> list[str]:
             f"offset length {len(config.run.offset)} does not match n*d = {nd}"
         )
     if config.sweep is not None:
-        if config.sweep.points < 1:
-            problems.append("sweep.points must be >= 1")
-        if config.sweep.steps < 1000:
-            problems.append("sweep.steps must be >= 1000")
-        if config.sweep.e_min > config.sweep.e_max:
-            problems.append("sweep.e_min must not exceed sweep.e_max")
+        problems += validate_sweep(config.sweep)
     return problems
 
 
-def capacity_violations(config: ExperimentConfig) -> list[str]:
-    """Campaign lengths whose cube is too large for the dense eigensolver."""
-    nd = config.model.n * config.model.d
-    return [
-        f"L={L}: cube dim (2L+1)^(n*d) = {(2 * L + 1) ** nd} exceeds the "
-        f"dense eigensolver limit {DENSE_LIMIT}"
-        for L in config.model.L_list
-        if (2 * L + 1) ** nd > DENSE_LIMIT
-    ]
+def validate_sweep(sweep: SweepConfig) -> list[str]:
+    """Violations of the ``sweep`` section, empty when runnable."""
+    problems = []
+    if sweep.points < 1:
+        problems.append("sweep.points must be >= 1")
+    if sweep.steps < 1000:
+        problems.append("sweep.steps must be >= 1000")
+    if sweep.e_min > sweep.e_max:
+        problems.append("sweep.e_min must not exceed sweep.e_max")
+    return problems
 
 
 def effective_L0(config: ExperimentConfig, L: int) -> int:

@@ -22,7 +22,7 @@ from .randomfield import (
     sample_field,
     validate,
 )
-from .spectral import Spectrum, dist_to_spectrum, full_spectrum
+from .spectral import DENSE_LIMIT, Spectrum, dist_to_spectrum, full_spectrum
 
 _WILSON_Z = 1.96
 
@@ -189,10 +189,10 @@ class EventQuery:
     """One fully specified event family: geometry, disorder, and thresholds.
 
     ``energy`` is used by the fixed-energy kind, ``window`` by the variable
-    and two-volume kinds.  ``offset`` displaces the second cube center for
-    the two-volume kind; when it is None there, it resolves on construction
-    to 2L+1 along the first coordinate, which makes the two configuration
-    cubes disjoint.
+    and two-volume kinds.  The first cube is centered at the origin and
+    ``offset`` is the second cube center for the two-volume kind; when it
+    is None there, it resolves on construction to 2L+1 along the first
+    coordinate, which makes the two configuration cubes disjoint.
     """
 
     kind: str
@@ -205,7 +205,6 @@ class EventQuery:
     eps: float
     energy: float | None = None
     window: tuple[float, float] | None = None
-    center: tuple[int, ...] | None = None
     offset: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -216,27 +215,33 @@ class EventQuery:
 
 def _query_cubes(query: EventQuery) -> list[Cube]:
     nd = query.n * query.d
-    center = tuple(query.center) if query.center is not None else (0,) * nd
-    if len(center) != nd:
-        raise ValueError(f"center length {len(center)} != n*d = {nd}")
-    first = Cube(Site(query.n, query.d, center), query.L)
+    first = Cube(Site(query.n, query.d, (0,) * nd), query.L)
     if query.kind != "two_volume":
         return [first]
-    if len(query.offset) != nd:
-        raise ValueError(f"offset length {len(query.offset)} != n*d = {nd}")
-    second_center = tuple(c + o for c, o in zip(center, query.offset))
-    return [first, Cube(Site(query.n, query.d, second_center), query.L)]
+    return [first, Cube(Site(query.n, query.d, query.offset), query.L)]
 
 
 def validate_query(query: EventQuery) -> list[str]:
-    """Configuration problems that must be reported before any sampling."""
+    """Problems with one campaign row, all reported before any sampling."""
     problems = [f"distribution: {v}" for v in validate(query.distribution)]
     if query.kind not in ("fixed", "variable", "two_volume"):
         problems.append(f"unknown event kind {query.kind!r}")
     if query.L < 0:
         problems.append(f"cube radius must be >= 0, got {query.L}")
-    if query.eps <= 0.0:
-        problems.append(f"eps must be positive, got {query.eps}")
+    elif (dim := (2 * query.L + 1) ** (query.n * query.d)) > DENSE_LIMIT:
+        problems.append(
+            f"cube dim (2L+1)^(n*d) = {dim} exceeds the dense eigensolver limit {DENSE_LIMIT}"
+        )
+    if not 0.0 < query.eps < math.inf:
+        problems.append(f"eps must be positive and finite, got {query.eps}")
+    numbers = {"h": query.h, "energy": query.energy}
+    if query.window is not None:
+        numbers.update(window_lo=query.window[0], window_hi=query.window[1])
+    problems += [
+        f"{name} must be finite, got {value}"
+        for name, value in numbers.items()
+        if value is not None and not math.isfinite(value)
+    ]
     if query.kind == "fixed" and query.energy is None:
         problems.append("fixed-energy event needs an energy")
     if query.kind in ("variable", "two_volume"):

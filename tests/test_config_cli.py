@@ -13,15 +13,24 @@ import wegnerlab
 from wegnerlab.cli import main
 from wegnerlab.config import (
     ConfigError,
+    ExperimentConfig,
+    ModelConfig,
+    RunConfig,
+    WegnerConfig,
     event_query_for,
     event_window,
     parse_config,
     row_seed,
-    serialize_config,
     validate_config,
 )
-from wegnerlab.hamiltonian import read_matrix_dump
-from wegnerlab.wegner import delta0
+from wegnerlab.hamiltonian import InteractionSpec, read_matrix_dump
+from wegnerlab.randomfield import DistributionSpec
+from wegnerlab.wegner import delta0, validate_query
+
+REPO = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = sorted(REPO.glob("configs/*.json")) + sorted(
+    REPO.glob("perfbench/workloads/*.json")
+)
 
 
 def make_config(**overrides):
@@ -50,11 +59,37 @@ def make_config(**overrides):
     return doc
 
 
-def test_config_round_trip():
-    text = json.dumps(make_config())
-    config = parse_config(text)
-    assert parse_config(serialize_config(config)) == config
+def test_config_parses_every_field():
+    config = parse_config(json.dumps(make_config()))
+    assert config == ExperimentConfig(
+        model=ModelConfig(
+            n=1,
+            d=1,
+            L_list=(2, 3),
+            distribution=DistributionSpec.bernoulli(p=0.5, lo=0.0, hi=1.0),
+            interaction=InteractionSpec.none(),
+            h=0.0,
+        ),
+        wegner=WegnerConfig(beta=0.5, sigma=1.0, L0=None, q=2.0, E0=2.0, half_width=None),
+        run=RunConfig(event="fixed", trials=50, seed=7, offset=None),
+        sweep=None,
+    )
     assert validate_config(config) == []
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_config_rejects_non_finite_numbers(literal):
+    text = json.dumps(make_config()).replace('"E0": 2.0', f'"E0": {literal}')
+    with pytest.raises(ConfigError, match=f"config number {literal} is not finite"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_shipped_configs_pass_every_check(path):
+    config = parse_config(path.read_text())
+    assert validate_config(config) == []
+    for L in config.model.L_list:
+        assert validate_query(event_query_for(config, L)) == []
 
 
 def test_config_missing_key():
@@ -140,6 +175,41 @@ def test_run_rejects_degenerate_distribution(tmp_path):
     assert result.exit_code != 0
     assert "single-point support" in result.output
     assert not out.exists()  # no partial output
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"wegner.E0": math.nan},
+        {
+            "model.interaction": {"kind": "pair_contact", "range": 0, "amplitude": 1.0},
+            "model.h": math.nan,
+        },
+    ],
+    ids=["E0", "h"],
+)
+def test_run_rejects_non_finite_config_numbers(tmp_path, overrides):
+    # json.dumps writes the NaN literal, which json.loads accepts by default
+    config = write_config(tmp_path, make_config(**overrides))
+    out = tmp_path / "r.csv"
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert "config number NaN is not finite" in result.output
+    assert isinstance(result.exception, SystemExit)
+    assert not out.exists()
+
+
+def test_run_rejects_underflowing_eps_before_sampling(tmp_path):
+    # exp(-600 * sqrt(L)) underflows to 0.0 for every L in L_list
+    config = write_config(tmp_path, make_config(**{"wegner.sigma": 600.0}))
+    out = tmp_path / "r.csv"
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert "config violation" in result.output
+    assert "L=2: eps must be positive" in result.output
+    assert "L=3: eps must be positive" in result.output
+    assert isinstance(result.exception, SystemExit)  # a violation report, not a raw error
+    assert not out.exists()
 
 
 def test_run_emits_one_row_per_length(tmp_path):
@@ -274,3 +344,26 @@ def test_lyapunov_sweep_requires_d1(tmp_path):
     )
     assert result.exit_code != 0
     assert "d = 1" in result.output
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        {"e_min": 1.0, "e_max": 3.0, "points": 3, "steps": 500},
+        {"e_min": 1.0, "e_max": 3.0, "points": 0, "steps": 2000},
+    ],
+    ids=["steps", "points"],
+)
+def test_lyapunov_sweep_checks_section_before_writing(tmp_path, sweep):
+    # the degenerate distribution stays allowed: only the sweep section is at fault
+    doc = make_config(**{"model.distribution": {"kind": "bernoulli", "p": 1.0}})
+    doc["sweep"] = sweep
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "sweep.csv"
+    result = CliRunner().invoke(
+        main, ["lyapunov-sweep", "--config", str(config), "--out", str(out)]
+    )
+    assert result.exit_code != 0
+    assert "config violation" in result.output
+    assert "single-point support" not in result.output
+    assert not out.exists()

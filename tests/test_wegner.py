@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import wegnerlab.wegner as wegner
 from wegnerlab.errors import DistributionError
 from wegnerlab.hamiltonian import InteractionSpec
 from wegnerlab.lattice import Cube, Site, sup_norm
@@ -19,6 +20,7 @@ from wegnerlab.wegner import (
     mc_estimate,
     perturbation_check,
     two_volume_event,
+    validate_query,
     variable_energy_event,
     wilson_interval,
 )
@@ -271,6 +273,30 @@ def test_mc_estimate_rejects_invalid_config_before_sampling():
             trials=10,
             seed=0,
         )
+
+
+def test_mc_estimate_rejects_over_capacity_query_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a field for an over-capacity query")
+
+    monkeypatch.setattr(wegner, "sample_field", no_sampling)
+    # n=2, d=2, L=5: cube dim 11^4 = 14641
+    query = dataclasses.replace(_query(0.1, 2.0, L=5), n=2, d=2)
+    with pytest.raises(
+        DistributionError,
+        match=r"cube dim \(2L\+1\)\^\(n\*d\) = 14641 exceeds the dense eigensolver limit 4096",
+    ):
+        mc_estimate(query, trials=3, seed=0)
+
+
+def test_validate_query_reports_non_finite_numbers():
+    assert validate_query(_query(0.1, 2.0)) == []
+    assert validate_query(_query(0.1, math.nan)) == ["energy must be finite, got nan"]
+    assert validate_query(_query(math.inf, 2.0)) == ["eps must be positive and finite, got inf"]
+    problems = validate_query(
+        dataclasses.replace(_query(0.1, None, "variable"), h=math.nan, window=(0.0, math.inf))
+    )
+    assert problems == ["h must be finite, got nan", "window_hi must be finite, got inf"]
 
 
 def test_two_volume_query_uses_disjoint_default_offset():

@@ -3,8 +3,9 @@
 The config document is plain JSON with three required sections (``model``,
 ``wegner``, ``run``) and an optional ``sweep`` section for the Lyapunov
 energy sweep; see the README for the full schema.  Non-finite numbers
-(``NaN``, ``Infinity``, or a literal such as ``1e999`` that overflows) are
-rejected while parsing.
+(``NaN``, ``Infinity``, or a literal such as ``1e999`` that overflows) and
+values of the wrong type are rejected while parsing, with a ConfigError
+that names the key.
 """
 
 import json
@@ -76,32 +77,76 @@ def _get(section: dict, key: str, where: str):
     return section[key]
 
 
+def _show(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {_show(value)}")
+    return value
+
+
+def _typed(kind, value, where: str):
+    """``kind(value)`` for ``kind`` int or float, or a ConfigError naming the key."""
+    try:
+        result = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        result = None
+    if result is None or (kind is float and not math.isfinite(result)):
+        expected = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{where} must be {expected}, got {_show(value)}")
+    return result
+
+
+def _value(kind, section: dict, key: str, where: str):
+    """The required ``section[key]`` as ``kind``."""
+    return _typed(kind, _get(section, key, where), f"{where}.{key}")
+
+
+def _optional(kind, value, where: str):
+    return None if value is None else _typed(kind, value, where)
+
+
+def _numbers(kind, value, where: str) -> tuple:
+    """A JSON list of ``kind`` values, or a ConfigError naming the key."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a JSON list, got {_show(value)}")
+    return tuple(_typed(kind, v, where) for v in value)
+
+
 def _parse_distribution(obj: dict) -> DistributionSpec:
-    kind = _get(obj, "kind", "model.distribution")
+    where = "model.distribution"
+    kind = _get(obj, "kind", where)
     if kind == "bernoulli":
         return DistributionSpec.bernoulli(
-            p=obj.get("p", 0.5), lo=obj.get("lo", 0.0), hi=obj.get("hi", 1.0)
+            p=_typed(float, obj.get("p", 0.5), f"{where}.p"),
+            lo=_typed(float, obj.get("lo", 0.0), f"{where}.lo"),
+            hi=_typed(float, obj.get("hi", 1.0), f"{where}.hi"),
         )
     if kind == "uniform":
         return DistributionSpec.uniform(
-            _get(obj, "lo", "model.distribution"), _get(obj, "hi", "model.distribution")
+            _value(float, obj, "lo", where),
+            _value(float, obj, "hi", where),
         )
     if kind == "finite":
         return DistributionSpec.finite(
-            _get(obj, "values", "model.distribution"),
-            _get(obj, "weights", "model.distribution"),
+            _numbers(float, _get(obj, "values", where), f"{where}.values"),
+            _numbers(float, _get(obj, "weights", where), f"{where}.weights"),
         )
     raise ConfigError(f"unknown distribution kind {kind!r}")
 
 
 def _parse_interaction(obj: dict) -> InteractionSpec:
-    kind = _get(obj, "kind", "model.interaction")
+    where = "model.interaction"
+    kind = _get(obj, "kind", where)
     if kind == "none":
         return InteractionSpec.none()
     if kind == "pair_contact":
         return InteractionSpec.pair_contact(
-            _get(obj, "range", "model.interaction"),
-            _get(obj, "amplitude", "model.interaction"),
+            _value(int, obj, "range", where),
+            _value(float, obj, "amplitude", where),
         )
     raise ConfigError(f"unknown interaction kind {kind!r}")
 
@@ -118,49 +163,60 @@ def _finite_float(literal: str) -> float:
 
 
 def parse_config(text: str) -> ExperimentConfig:
+    """The config document as an ExperimentConfig.
+
+    Raises ConfigError for invalid JSON, a missing key, a section that is
+    not an object, or a value of the wrong type; ``validate_config`` then
+    checks the values.
+    """
     try:
         doc = json.loads(text, parse_float=_finite_float, parse_constant=_reject_non_finite)
-    except json.JSONDecodeError as exc:
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to convert
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    model = _get(doc, "model", "config")
-    wegner = _get(doc, "wegner", "config")
-    run = _get(doc, "run", "config")
+    doc = _object(doc, "config root")
+    model = _object(_get(doc, "model", "config"), "model")
+    wegner = _object(_get(doc, "wegner", "config"), "wegner")
+    run = _object(_get(doc, "run", "config"), "run")
     offset = run.get("offset")
     sweep = doc.get("sweep")
+    if sweep is not None:
+        sweep = _object(sweep, "sweep")
     return ExperimentConfig(
         model=ModelConfig(
-            n=int(_get(model, "n", "model")),
-            d=int(_get(model, "d", "model")),
-            L_list=tuple(int(L) for L in _get(model, "L_list", "model")),
-            distribution=_parse_distribution(_get(model, "distribution", "model")),
-            interaction=_parse_interaction(_get(model, "interaction", "model")),
-            h=float(model.get("h", 0.0)),
+            n=_value(int, model, "n", "model"),
+            d=_value(int, model, "d", "model"),
+            L_list=_numbers(int, _get(model, "L_list", "model"), "model.L_list"),
+            distribution=_parse_distribution(
+                _object(_get(model, "distribution", "model"), "model.distribution")
+            ),
+            interaction=_parse_interaction(
+                _object(_get(model, "interaction", "model"), "model.interaction")
+            ),
+            h=_typed(float, model.get("h", 0.0), "model.h"),
         ),
         wegner=WegnerConfig(
-            beta=float(_get(wegner, "beta", "wegner")),
-            sigma=float(_get(wegner, "sigma", "wegner")),
-            L0=None if wegner.get("L0") is None else int(wegner["L0"]),
-            q=float(_get(wegner, "q", "wegner")),
-            E0=float(_get(wegner, "E0", "wegner")),
-            half_width=None
-            if wegner.get("half_width") is None
-            else float(wegner["half_width"]),
+            beta=_value(float, wegner, "beta", "wegner"),
+            sigma=_value(float, wegner, "sigma", "wegner"),
+            L0=_optional(int, wegner.get("L0"), "wegner.L0"),
+            q=_value(float, wegner, "q", "wegner"),
+            E0=_value(float, wegner, "E0", "wegner"),
+            half_width=_optional(float, wegner.get("half_width"), "wegner.half_width"),
         ),
         run=RunConfig(
             event=str(_get(run, "event", "run")),
-            trials=int(_get(run, "trials", "run")),
-            seed=int(run.get("seed", 0)),
-            offset=None if offset is None else tuple(int(o) for o in offset),
+            trials=_value(int, run, "trials", "run"),
+            seed=_typed(int, run.get("seed", 0), "run.seed"),
+            offset=None if offset is None else _numbers(int, offset, "run.offset"),
         ),
         sweep=None
         if sweep is None
         else SweepConfig(
-            e_min=float(_get(sweep, "e_min", "sweep")),
-            e_max=float(_get(sweep, "e_max", "sweep")),
-            points=int(_get(sweep, "points", "sweep")),
-            steps=int(_get(sweep, "steps", "sweep")),
+            e_min=_value(float, sweep, "e_min", "sweep"),
+            e_max=_value(float, sweep, "e_max", "sweep"),
+            points=_value(int, sweep, "points", "sweep"),
+            steps=_value(int, sweep, "steps", "sweep"),
         ),
     )
 

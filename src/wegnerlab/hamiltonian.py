@@ -41,6 +41,12 @@ class InteractionSpec:
             raise ValueError(f"contact radius must be >= 0, got {radius}")
         return cls(kind="pair_contact", radius=int(radius), amplitude=float(amplitude))
 
+    def sup_bound(self, n: int) -> float:
+        """|amplitude| * n(n-1)/2, a bound on |U| over every n-particle configuration."""
+        if self.kind == "none":
+            return 0.0
+        return abs(self.amplitude) * (n * (n - 1) // 2)
+
 
 @dataclass(frozen=True)
 class SymMatrix:
@@ -164,20 +170,13 @@ def interaction_sup_norm(cube: Cube, inter: InteractionSpec) -> float:
     n = cube.center.n
     centers = {cube.center.particle(i) for i in range(n)}
     if len(centers) == 1:
-        return abs(inter.amplitude) * (n * (n - 1) // 2)
+        return inter.sup_bound(n)
     return float(np.max(np.abs(interaction_values(cube, inter))))
 
 
-def _diagonal(cube: Cube, field: FieldSample, inter: InteractionSpec, h: float) -> np.ndarray:
-    n, d = cube.center.n, cube.center.d
-    potentials = field.values_at(cube.particle_points().reshape(-1, d)).reshape(n, -1)
-    # Kronecker sum: particle i's potential varies along flat-index digit i.
-    diag = 2.0 * n * d + potentials[0]
-    for v in potentials[1:]:
-        diag = np.add.outer(diag, v).ravel()
-    if inter.kind != "none" and h != 0.0:
-        diag = diag + h * interaction_values(cube, inter)
-    return diag
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _hopping_pairs(cube: Cube):
@@ -194,6 +193,51 @@ def _hopping_pairs(cube: Cube):
         yield rows, rows + stride
 
 
+@dataclass(frozen=True)
+class CubeAssembly:
+    """The field-independent part of H on one cube, ready for any field.
+
+    Holds the constant 2nd, the read-only hopping triples and ``coupling``,
+    the read-only h*U over the cube sites (None when h*U is identically
+    zero).  ``matrix`` adds the particle potentials as a Kronecker sum.
+    """
+
+    kinetic: float
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    coupling: np.ndarray | None
+
+    @classmethod
+    def of(cls, cube: Cube, inter: InteractionSpec, h: float) -> "CubeAssembly":
+        rows, cols = (np.concatenate(part) for part in zip(*_hopping_pairs(cube)))
+        coupling = None
+        if inter.kind != "none" and h != 0.0:
+            coupling = _read_only(h * interaction_values(cube, inter))
+        return cls(
+            kinetic=2.0 * cube.center.n * cube.center.d,
+            rows=_read_only(rows),
+            cols=_read_only(cols),
+            vals=_read_only(np.full(rows.size, -1.0)),
+            coupling=coupling,
+        )
+
+    def matrix(self, potentials: np.ndarray) -> SymMatrix:
+        """H for per-particle potentials, an (n, side^d) array.
+
+        Row i holds V at particle i's single-particle cube points in
+        lexicographic order, which is the order of digit i of the cube
+        enumeration.
+        """
+        # Kronecker sum: particle i's potential varies along flat-index digit i.
+        diag = self.kinetic + potentials[0]
+        for v in potentials[1:]:
+            diag = np.add.outer(diag, v).ravel()
+        if self.coupling is not None:
+            diag = diag + self.coupling
+        return SymMatrix(diag, self.rows, self.cols, self.vals)
+
+
 def build_hamiltonian(
     cube: Cube, field: FieldSample, inter: InteractionSpec, h: float
 ) -> SymMatrix:
@@ -203,8 +247,9 @@ def build_hamiltonian(
     off-diagonal entry is exactly -1 between cube sites at l1
     distance 1, and 0 elsewhere.
     """
-    rows, cols = (np.concatenate(part) for part in zip(*_hopping_pairs(cube)))
-    return SymMatrix(_diagonal(cube, field, inter, h), rows, cols, np.full(rows.size, -1.0))
+    n, d = cube.center.n, cube.center.d
+    potentials = field.values_at(cube.particle_points().reshape(-1, d)).reshape(n, -1)
+    return CubeAssembly.of(cube, inter, h).matrix(potentials)
 
 
 def write_matrix_dump(matrix: SymMatrix, stream):

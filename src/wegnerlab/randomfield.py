@@ -23,6 +23,7 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 _TWO53 = float(1 << 53)
+_MASK = (1 << 64) - 1
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -30,6 +31,17 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> _S30)) * _M1
     z = (z ^ (z >> _S27)) * _M2
     return z ^ (z >> _S31)
+
+
+def _chain(*words: int) -> int:
+    """The hash state after absorbing ``words``: the scalar form of ``_mix64``."""
+    z = int(_INIT)
+    for w in words:
+        z ^= int(w) & _MASK
+        z = ((z ^ (z >> 30)) * int(_M1)) & _MASK
+        z = ((z ^ (z >> 27)) * int(_M2)) & _MASK
+        z ^= z >> 31
+    return z
 
 
 def _as_words(values) -> np.ndarray:
@@ -42,12 +54,11 @@ def hash_uniform01(seed: int, trial: int, words) -> np.ndarray:
 
     ``words`` is an (m, w) integer array; one variate per row, with 53-bit
     resolution.  Pure function of its arguments: uint64 arithmetic only,
-    no shared state.
+    no shared state.  The (seed, trial) prefix is the same for every row,
+    so it is absorbed once, in scalar arithmetic.
     """
     w = _as_words(words)
-    h = np.full(w.shape[0], _INIT, dtype=np.uint64)
-    h = _mix64(h ^ np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-    h = _mix64(h ^ np.uint64(trial & 0xFFFFFFFFFFFFFFFF))
+    h = np.full(w.shape[0], _chain(seed, trial), dtype=np.uint64)
     for k in range(w.shape[1]):
         h = _mix64(h ^ w[:, k])
     return (h >> _S11).astype(np.float64) / _TWO53
@@ -59,11 +70,7 @@ def derive_seed(seed: int, *words: int) -> int:
     Used to decouple sampling streams (one per campaign row) without any
     generator state.
     """
-    h = np.full(1, _INIT, dtype=np.uint64)
-    h = _mix64(h ^ np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-    for w in words:
-        h = _mix64(h ^ np.uint64(int(w) & 0xFFFFFFFFFFFFFFFF))
-    return int(h[0])
+    return _chain(seed, *words)
 
 
 @dataclass(frozen=True)
@@ -117,6 +124,8 @@ def validate(spec: DistributionSpec) -> list[str]:
             violations.append("unbounded support")
         elif spec.lo >= spec.hi:
             violations.append("single-point support" if spec.lo == spec.hi else "empty support")
+        elif not math.isfinite(spec.hi - spec.lo):
+            violations.append("support width hi - lo is not finite")
     elif spec.kind == "finite":
         if len(spec.values) != len(spec.weights) or not spec.values:
             violations.append("values/weights length mismatch")
@@ -133,6 +142,13 @@ def validate(spec: DistributionSpec) -> list[str]:
     else:
         violations.append(f"unknown distribution kind {spec.kind!r}")
     return violations
+
+
+def support_sup(spec: DistributionSpec) -> float:
+    """max |v| over the values a draw can take: the support ends, or every listed value."""
+    if spec.kind == "finite":
+        return max(map(abs, spec.values), default=0.0)
+    return max(abs(spec.lo), abs(spec.hi))
 
 
 def _transform(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
@@ -182,14 +198,23 @@ class FieldSample:
 
     def values_at(self, points) -> np.ndarray:
         """Field values at an (m, d) array of points, by binary search."""
-        points = np.atleast_2d(np.asarray(points, dtype=np.int64))
-        idx = np.searchsorted(_row_keys(self.points), _row_keys(points))
-        idx = np.minimum(idx, len(self.points) - 1)
-        hit = np.all(self.points[idx] == points, axis=1)
-        if not hit.all():
-            missing = tuple(int(c) for c in points[np.argmin(hit)])
-            raise FieldCoverageError(f"field sample does not cover lattice point {missing}")
-        return self.values[idx]
+        return self.values[region_rows(self.points, points)]
+
+
+def region_rows(region: np.ndarray, points) -> np.ndarray:
+    """Row of each of the (m, d) ``points`` in ``region``, by binary search.
+
+    ``region`` is a lexicographically sorted array of distinct points; a
+    point outside it raises FieldCoverageError naming the point.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=np.int64))
+    idx = np.searchsorted(_row_keys(region), _row_keys(points))
+    idx = np.minimum(idx, len(region) - 1)
+    hit = np.all(region[idx] == points, axis=1)
+    if not hit.all():
+        missing = tuple(int(c) for c in points[np.argmin(hit)])
+        raise FieldCoverageError(f"field sample does not cover lattice point {missing}")
+    return idx
 
 
 def sample_field(spec: DistributionSpec, region, seed: int, trial: int) -> FieldSample:

@@ -10,16 +10,26 @@ bit-identical for a fixed seed.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DistributionError
-from .hamiltonian import InteractionSpec, build_hamiltonian, interaction_sup_norm
+from .hamiltonian import (
+    CubeAssembly,
+    InteractionSpec,
+    build_hamiltonian,
+    interaction_sup_norm,
+)
 from .lattice import Cube, Site, distinct_points
 from .randomfield import (
     DistributionSpec,
     FieldSample,
-    sample_field,
+    draw_values,
+    region_rows,
+    sample_field,  # noqa: F401  (perfbench/spans.py wraps wegner.sample_field by name)
+    support_sup,
     validate,
 )
 from .spectral import DENSE_LIMIT, Spectrum, dist_to_spectrum, full_spectrum
@@ -184,6 +194,18 @@ class MCResult:
     ci95: tuple[float, float]
 
 
+class PreparedQuery(NamedTuple):
+    """The trial-invariant part of an event query.
+
+    ``region`` is the sorted, distinct field region of all cubes; per cube,
+    ``cubes`` holds its assembly and the (n, side^d) region rows of each
+    particle digit.  Every array is read-only.
+    """
+
+    region: np.ndarray
+    cubes: tuple[tuple[CubeAssembly, np.ndarray], ...]
+
+
 @dataclass(frozen=True)
 class EventQuery:
     """One fully specified event family: geometry, disorder, and thresholds.
@@ -193,6 +215,8 @@ class EventQuery:
     ``offset`` is the second cube center for the two-volume kind; when it
     is None there, it resolves on construction to 2L+1 along the first
     coordinate, which makes the two configuration cubes disjoint.
+    Everything a trial needs that does not depend on the trial is computed
+    on first use and cached (``prepared``).
     """
 
     kind: str
@@ -212,6 +236,27 @@ class EventQuery:
             nd = self.n * self.d
             object.__setattr__(self, "offset", (2 * self.L + 1,) + (0,) * (nd - 1))
 
+    @cached_property
+    def prepared(self) -> PreparedQuery:
+        """Cubes, field region, assemblies and digit rows, computed once.
+
+        Raises DistributionError for an invalid distribution, as
+        sample_field does.
+        """
+        violations = validate(self.distribution)
+        if violations:
+            raise DistributionError("invalid distribution: " + "; ".join(violations))
+        cubes = _query_cubes(self)
+        points = [c.particle_points().reshape(-1, self.d) for c in cubes]
+        region = distinct_points(np.concatenate(points))
+        region.flags.writeable = False
+        prepared = []
+        for cube, cube_points in zip(cubes, points):
+            rows = region_rows(region, cube_points).reshape(self.n, -1)
+            rows.flags.writeable = False
+            prepared.append((CubeAssembly.of(cube, self.interaction, self.h), rows))
+        return PreparedQuery(region, tuple(prepared))
+
 
 def _query_cubes(query: EventQuery) -> list[Cube]:
     nd = query.n * query.d
@@ -223,7 +268,8 @@ def _query_cubes(query: EventQuery) -> list[Cube]:
 
 def validate_query(query: EventQuery) -> list[str]:
     """Problems with one campaign row, all reported before any sampling."""
-    problems = [f"distribution: {v}" for v in validate(query.distribution)]
+    distribution_problems = validate(query.distribution)
+    problems = [f"distribution: {v}" for v in distribution_problems]
     if query.kind not in ("fixed", "variable", "two_volume"):
         problems.append(f"unknown event kind {query.kind!r}")
     if query.L < 0:
@@ -242,6 +288,16 @@ def validate_query(query: EventQuery) -> list[str]:
         for name, value in numbers.items()
         if value is not None and not math.isfinite(value)
     ]
+    if not distribution_problems and math.isfinite(query.h):
+        bound = (
+            2.0 * query.n * query.d
+            + query.n * support_sup(query.distribution)
+            + abs(query.h) * query.interaction.sup_bound(query.n)
+        )
+        if not math.isfinite(bound):
+            problems.append(
+                f"diagonal bound 2nd + n*max|V| + |h|*sup|U| = {bound} is not finite"
+            )
     if query.kind == "fixed" and query.energy is None:
         problems.append("fixed-energy event needs an energy")
     if query.kind in ("variable", "two_volume"):
@@ -253,13 +309,15 @@ def validate_query(query: EventQuery) -> list[str]:
 
 
 def evaluate_event(query: EventQuery, seed: int, trial: int) -> bool:
-    """Sample one field realization and decide the event exactly."""
-    cubes = _query_cubes(query)
-    region = distinct_points(np.concatenate([c.field_region() for c in cubes]))
-    field = sample_field(query.distribution, region, seed, trial)
+    """Sample one field realization and decide the event exactly.
+
+    The field is drawn on the query's prepared region; each cube's
+    potentials are read from it through the prepared digit rows.
+    """
+    prepared = query.prepared
+    values = draw_values(query.distribution, prepared.region, seed, trial)
     spectra = [
-        full_spectrum(build_hamiltonian(c, field, query.interaction, query.h))
-        for c in cubes
+        full_spectrum(assembly.matrix(values[rows])) for assembly, rows in prepared.cubes
     ]
     if query.kind == "fixed":
         return fixed_energy_event(spectra[0], query.energy, query.eps)

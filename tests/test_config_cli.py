@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +83,53 @@ def test_config_rejects_non_finite_numbers(literal):
     text = json.dumps(make_config()).replace('"E0": 2.0', f'"E0": {literal}')
     with pytest.raises(ConfigError, match=f"config number {literal} is not finite"):
         parse_config(text)
+
+
+WRONGLY_TYPED = {
+    "n_string": (
+        json.dumps(make_config(**{"model.n": "two"})),
+        "model.n must be an integer, got 'two'",
+    ),
+    "E0_long_integer": (
+        json.dumps(make_config()).replace('"E0": 2.0', '"E0": 1' + "0" * 400),
+        "wegner.E0 must be a finite number, got 1000",
+    ),
+    "E0_too_many_digits": (
+        json.dumps(make_config()).replace('"E0": 2.0', '"E0": 1' + "0" * 5000),
+        "config is not valid JSON",
+    ),
+    "L_list_scalar": (
+        json.dumps(make_config(**{"model.L_list": 5})),
+        "model.L_list must be a JSON list, got 5",
+    ),
+    "finite_value_string": (
+        json.dumps(
+            make_config(
+                **{"model.distribution": {"kind": "finite", "values": [0, "a"], "weights": [1, 0]}}
+            )
+        ),
+        "model.distribution.values must be a finite number, got 'a'",
+    ),
+    "model_list": (
+        json.dumps({**make_config(), "model": [make_config()["model"]]}),
+        "model must be a JSON object",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONGLY_TYPED))
+def test_config_rejects_wrongly_typed_values(tmp_path, case):
+    text, message = WRONGLY_TYPED[case]
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(text)
+    config = tmp_path / "c.json"
+    config.write_text(text)
+    out = tmp_path / "r.csv"
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert message in result.output
+    assert isinstance(result.exception, SystemExit)  # a report, not a raw error
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -208,6 +256,32 @@ def test_run_rejects_underflowing_eps_before_sampling(tmp_path):
     assert "config violation" in result.output
     assert "L=2: eps must be positive" in result.output
     assert "L=3: eps must be positive" in result.output
+    assert isinstance(result.exception, SystemExit)  # a violation report, not a raw error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {
+            "model.n": 2,
+            "model.interaction": {"kind": "pair_contact", "range": 0, "amplitude": 1e200},
+            "model.h": 1e200,
+        },
+        {
+            "model.n": 2,
+            "model.distribution": {"kind": "bernoulli", "p": 0.5, "lo": 0.0, "hi": 1e308},
+        },
+    ],
+    ids=["coupling", "support"],
+)
+def test_run_rejects_overflowing_diagonal_before_sampling(tmp_path, overrides):
+    config = write_config(tmp_path, make_config(**overrides))
+    out = tmp_path / "r.csv"
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    for L in (2, 3):
+        assert f"L={L}: diagonal bound 2nd + n*max|V| + |h|*sup|U| = inf" in result.output
     assert isinstance(result.exception, SystemExit)  # a violation report, not a raw error
     assert not out.exists()
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import wegnerlab.randomfield as randomfield
 from wegnerlab.errors import DistributionError, FieldCoverageError
 from wegnerlab.randomfield import (
     DistributionSpec,
@@ -164,3 +165,22 @@ def test_negative_coordinates_hash_cleanly():
     assert np.array_equal(field.values_at(region), draw_values(spec, region, 3, 1))
     with pytest.raises(FieldCoverageError, match=r"\(1000000000, -3\)"):
         field.value((10**9, -3))
+
+
+
+def test_scalar_prefix_matches_vector_chain():
+    # hash_uniform01 and derive_seed absorb (seed, trial) in Python integers;
+    # the uint64 numpy chain over every row is the reference, bit for bit
+    mask = 0xFFFFFFFFFFFFFFFF
+    rng = np.random.default_rng(5)
+    words = rng.integers(-(2**63), 2**63 - 1, size=(40, 3), endpoint=True)
+    for seed in (0, 1, -1, 2**63, 2**64 - 1, 123456789123):
+        for trial in (0, 7, -5, 2**40):
+            h = np.full(40, randomfield._INIT)
+            for w in (np.uint64(seed & mask), np.uint64(trial & mask)):
+                h = randomfield._mix64(h ^ w)
+            assert derive_seed(seed, trial) == int(h[0])
+            for w in words.view(np.uint64).T:
+                h = randomfield._mix64(h ^ w)
+            u = (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+            assert np.array_equal(hash_uniform01(seed, trial, words), u)

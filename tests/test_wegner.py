@@ -6,10 +6,10 @@ import pytest
 
 import wegnerlab.wegner as wegner
 from wegnerlab.errors import DistributionError
-from wegnerlab.hamiltonian import InteractionSpec
-from wegnerlab.lattice import Cube, Site, sup_norm
+from wegnerlab.hamiltonian import InteractionSpec, build_hamiltonian
+from wegnerlab.lattice import Cube, Site, distinct_points, sup_norm
 from wegnerlab.randomfield import DistributionSpec, sample_field
-from wegnerlab.spectral import Spectrum
+from wegnerlab.spectral import Spectrum, full_spectrum
 from wegnerlab.wegner import (
     EventQuery,
     decay_fit,
@@ -279,7 +279,7 @@ def test_mc_estimate_rejects_over_capacity_query_before_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled a field for an over-capacity query")
 
-    monkeypatch.setattr(wegner, "sample_field", no_sampling)
+    monkeypatch.setattr(wegner, "draw_values", no_sampling)
     # n=2, d=2, L=5: cube dim 11^4 = 14641
     query = dataclasses.replace(_query(0.1, 2.0, L=5), n=2, d=2)
     with pytest.raises(
@@ -319,6 +319,24 @@ def test_two_volume_query_uses_disjoint_default_offset():
     explicit = dataclasses.replace(query, offset=(0, 7))
     assert explicit.offset == (0, 7)
     assert dataclasses.replace(query, kind="variable", offset=None).offset is None
+
+
+def test_validate_query_rejects_non_finite_diagonal_bound():
+    coupled = dataclasses.replace(
+        _query(0.1, 2.0), n=2, h=1e200, interaction=InteractionSpec.pair_contact(0, 1e200)
+    )
+    wide = dataclasses.replace(
+        _query(0.1, 2.0), n=2, distribution=DistributionSpec.bernoulli(0.5, 0.0, 1e308)
+    )
+    for query in (coupled, wide):
+        assert validate_query(query) == [
+            "diagonal bound 2nd + n*max|V| + |h|*sup|U| = inf is not finite"
+        ]
+        with pytest.raises(DistributionError, match="diagonal bound"):
+            mc_estimate(query, trials=3, seed=0)
+    # the same sizes stay admissible where the bound is finite
+    assert validate_query(dataclasses.replace(coupled, h=0.0)) == []
+    assert validate_query(dataclasses.replace(wide, n=1)) == []
 
 
 def _mc(successes, trials):
@@ -376,3 +394,93 @@ def test_decay_fit_q4_thresholds():
     points = [(L, _mc(0, 10**4)) for L in (2, 3)]
     fit = decay_fit(points, beta=0.5, q=4.0)
     assert all(ok for _, ok in fit.passes_polynomial)
+
+
+def _reference_trial(query, seed, trial):
+    """A trial by the composition the prepared path replaced: region union,
+    sample_field, build_hamiltonian, full_spectrum, then the event."""
+    cubes = wegner._query_cubes(query)
+    region = distinct_points(np.concatenate([c.field_region() for c in cubes]))
+    field = sample_field(query.distribution, region, seed, trial)
+    matrices = [build_hamiltonian(c, field, query.interaction, query.h) for c in cubes]
+    spectra = [full_spectrum(m) for m in matrices]
+    if query.kind == "fixed":
+        decision = fixed_energy_event(spectra[0], query.energy, query.eps)
+    elif query.kind == "variable":
+        decision = variable_energy_event(spectra[0], query.window, query.eps)
+    else:
+        decision = two_volume_event(spectra[0], spectra[1], query.window, query.eps)
+    return decision, matrices
+
+
+_PAIR = InteractionSpec.pair_contact(0, 1.0)
+_EQUIVALENCE_QUERIES = {
+    "fixed-bernoulli-n1d1": EventQuery(
+        "fixed", 1, 1, 4, BERNOULLI, InteractionSpec.none(), 0.0, 0.15, energy=2.0
+    ),
+    "variable-uniform-n3d1": EventQuery(
+        "variable", 3, 1, 1, DistributionSpec.uniform(0.0, 2.0), InteractionSpec.none(),
+        0.0, 0.02, window=(6.0, 6.2),
+    ),
+    "variable-finite-n1d2-coupled": EventQuery(
+        "variable", 1, 2, 2, DistributionSpec.finite([-1.0, 0.5, 2.0], [0.25, 0.5, 0.25]),
+        _PAIR, 0.01, 0.01, window=(4.0, 4.05),
+    ),
+    "two_volume-finite-n2d1-coupled": EventQuery(
+        "two_volume", 2, 1, 2, DistributionSpec.finite([0.0, 0.5, 1.0], [0.25, 0.5, 0.25]),
+        _PAIR, 0.01, 0.05, window=(4.0, 4.4),
+    ),
+    "two_volume-bernoulli-n1d2-overlapping": EventQuery(
+        "two_volume", 1, 2, 1, BERNOULLI, InteractionSpec.none(), 0.0, 0.02,
+        window=(4.0, 4.1), offset=(0, 0),
+    ),
+    "fixed-uniform-n3d1-coupled": EventQuery(
+        "fixed", 3, 1, 1, DistributionSpec.uniform(-1.0, 1.0), _PAIR, 0.01, 0.1, energy=6.0
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EQUIVALENCE_QUERIES))
+def test_prepared_trial_matches_reference_composition(monkeypatch, name):
+    query = _EQUIVALENCE_QUERIES[name]
+    assert validate_query(query) == []
+    solved = []
+
+    def recording_full_spectrum(matrix):
+        solved.append(matrix)
+        return full_spectrum(matrix)
+
+    monkeypatch.setattr(wegner, "full_spectrum", recording_full_spectrum)
+    decisions = []
+    for trial in range(60):
+        solved.clear()
+        decision, matrices = _reference_trial(query, 23, trial)
+        assert evaluate_event(query, 23, trial) == decision
+        assert len(solved) == len(matrices)
+        for got, want in zip(solved, matrices):
+            for field in ("diag", "rows", "cols", "vals"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        decisions.append(decision)
+    assert 0 < sum(decisions) < len(decisions)
+
+
+def test_prepared_query_is_cached_and_read_only():
+    query = _EQUIVALENCE_QUERIES["two_volume-finite-n2d1-coupled"]
+    prepared = query.prepared
+    assert query.prepared is prepared
+    arrays = [prepared.region]
+    for assembly, rows in prepared.cubes:
+        arrays += [rows, assembly.rows, assembly.cols, assembly.vals, assembly.coupling]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0
+    # a replaced query prepares afresh
+    assert dataclasses.replace(query, h=0.0).prepared.cubes[0][0].coupling is None
+
+
+def test_evaluate_event_rejects_invalid_distribution():
+    bad = dataclasses.replace(
+        _EQUIVALENCE_QUERIES["fixed-bernoulli-n1d1"], distribution=DistributionSpec.bernoulli(1.0)
+    )
+    with pytest.raises(DistributionError, match="single-point support"):
+        evaluate_event(bad, 0, 0)

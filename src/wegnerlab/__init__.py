@@ -6,12 +6,7 @@ exactly by closed comparisons on the sorted spectra, and estimates event
 probabilities by reproducible counter-based Monte Carlo.
 """
 
-from .errors import (
-    CapacityError,
-    DimensionMismatchError,
-    DistributionError,
-    FieldCoverageError,
-)
+from .errors import CapacityError, DimensionMismatchError, DistributionError
 from .hamiltonian import (
     InteractionSpec,
     SymMatrix,
@@ -19,7 +14,7 @@ from .hamiltonian import (
     interaction_sup_norm,
 )
 from .lattice import Cube, Site, sup_norm
-from .randomfield import DistributionSpec, FieldSample, sample_field, validate
+from .randomfield import DistributionSpec, sample_field, validate
 from .spectral import (
     Spectrum,
     count_below,

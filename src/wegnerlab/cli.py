@@ -29,7 +29,7 @@ from .hamiltonian import build_hamiltonian, write_matrix_dump
 from .lattice import Cube, Site
 from .randomfield import sample_field
 from .verify import ALL_SUITES, run_suites
-from .wegner import mc_estimate, validate_query
+from .wegner import capacity_problems, mc_estimate, validate_query
 
 
 def _load_config(path: str):
@@ -82,7 +82,11 @@ def run(ctx, config_path, out_path, seed):
     if seed is not None:
         config = dataclasses.replace(config, run=dataclasses.replace(config.run, seed=seed))
     _require_valid(validate_config(config))
-    queries = [event_query_for(config, L) for L in config.model.L_list]
+    model = config.model
+    _require_valid(
+        [f"L={L}: {p}" for L in model.L_list for p in capacity_problems(model.n, model.d, L)]
+    )
+    queries = [event_query_for(config, L) for L in model.L_list]
     _require_valid(
         [f"L={q.L}: {problem}" for q in queries for problem in validate_query(q)]
     )
@@ -210,8 +214,8 @@ def dump_matrix(config_path, out_path, length, trial, seed):
     base_seed = config.run.seed if seed is None else seed
     nd = config.model.n * config.model.d
     cube = Cube(Site(config.model.n, config.model.d, (0,) * nd), L)
-    field = sample_field(config.model.distribution, cube.field_region(), base_seed, trial)
-    matrix = build_hamiltonian(cube, field, config.model.interaction, config.model.h)
+    potentials = sample_field(config.model.distribution, cube.particle_points(), base_seed, trial)
+    matrix = build_hamiltonian(cube, potentials, config.model.interaction, config.model.h)
     with open(out_path, "w") as f:
         write_matrix_dump(matrix, f)
     click.echo(f"wrote dim-{matrix.dim} matrix dump to {out_path}")

@@ -9,9 +9,5 @@ class DistributionError(ValueError):
     """A single-site distribution failed validation."""
 
 
-class FieldCoverageError(LookupError):
-    """An assembly touched a lattice point outside the sampled field region."""
-
-
 class CapacityError(ValueError):
     """A dense operation was requested above the supported matrix size."""

@@ -5,7 +5,9 @@ stored positive semidefinite: +2nd on the diagonal and -1 on every pair of
 cube sites at l1 distance 1.  The cube restriction is the Dirichlet
 one: hopping terms leaving the cube are dropped, the diagonal is untouched.
 This keeps the h=0 operator an exact Kronecker sum of the n single-particle
-Hamiltonians, which the tensor module relies on.
+Hamiltonians, which the tensor module relies on.  The disorder enters as an
+(n, side^d) potential array, V at each particle's single-particle cube
+points, so the diagonal is that Kronecker sum of the rows plus h*U.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,6 @@ import numpy as np
 
 from .errors import CapacityError
 from .lattice import Cube, coords_array
-from .randomfield import FieldSample
 
 _SCAN_LIMIT = 1 << 22
 
@@ -239,16 +240,22 @@ class CubeAssembly:
 
 
 def build_hamiltonian(
-    cube: Cube, field: FieldSample, inter: InteractionSpec, h: float
+    cube: Cube, potentials: np.ndarray, inter: InteractionSpec, h: float
 ) -> SymMatrix:
     """Assemble H on the cube in enumeration order.
 
-    Diagonal entry at configuration x is 2nd + sum_j V(x_j) + h*U(x); the
-    off-diagonal entry is exactly -1 between cube sites at l1
-    distance 1, and 0 elsewhere.
+    ``potentials`` is the (n, side^d) array of V at each particle's cube
+    points, as ``sample_field(spec, cube.particle_points(), seed, trial)``
+    draws it; any other shape raises ValueError.  Diagonal entry at
+    configuration x is 2nd + sum_j V(x_j) + h*U(x); the off-diagonal entry
+    is exactly -1 between cube sites at l1 distance 1, and 0 elsewhere.
     """
-    n, d = cube.center.n, cube.center.d
-    potentials = field.values_at(cube.particle_points().reshape(-1, d)).reshape(n, -1)
+    potentials = np.asarray(potentials, dtype=np.float64)
+    expected = (cube.center.n, cube.side**cube.center.d)
+    if potentials.shape != expected:
+        raise ValueError(
+            f"potentials must have shape (n, side^d) = {expected}, got {potentials.shape}"
+        )
     return CubeAssembly.of(cube, inter, h).matrix(potentials)
 
 

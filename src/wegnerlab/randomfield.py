@@ -3,8 +3,9 @@
 Sampling is counter-based: the value at a lattice point is a pure function
 of (seed, trial, point coordinates), obtained by chaining the SplitMix64
 finalizer over those words and mapping the top 53 bits to [0, 1).  There is
-no generator state, so results do not depend on the order in which points
-are visited or in which trials run.
+no generator state, so a point reads the same value however many times and
+wherever it is drawn: the hash is the shared field.  Potentials are drawn
+directly at the points that need them, a cube's particle points.
 """
 
 import math
@@ -12,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DistributionError, FieldCoverageError
-from .lattice import distinct_points
+from .errors import DistributionError
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -166,67 +166,28 @@ def _transform(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
 
 
 def draw_values(spec: DistributionSpec, points, seed: int, trial: int) -> np.ndarray:
-    """i.i.d. draws from the measure at integer index tuples, one per row.
+    """i.i.d. draws from the measure at integer points, keyed by (seed, trial).
 
+    ``points`` is an integer array of any leading shape whose last axis
+    holds a point's coordinates; the result has shape ``points.shape[:-1]``.
     No validation is applied here; degenerate measures are allowed for
     diagnostics (transfer-matrix closed-form checks).
     """
-    return _transform(spec, hash_uniform01(seed, trial, points))
+    points = np.asarray(points, dtype=np.int64)
+    u = hash_uniform01(seed, trial, points.reshape(-1, points.shape[-1]))
+    return _transform(spec, u).reshape(points.shape[:-1])
 
 
-def _row_keys(points: np.ndarray) -> np.ndarray:
-    """One structured scalar per row, ordered like the rows lexicographically."""
-    fields = [(f"f{k}", np.int64) for k in range(points.shape[1])]
-    return np.ascontiguousarray(points, dtype=np.int64).view(fields).ravel()
+def sample_field(spec: DistributionSpec, points, seed: int, trial: int) -> np.ndarray:
+    """The field at ``points`` for a validated measure, as ``draw_values``.
 
-
-@dataclass(frozen=True)
-class FieldSample:
-    """One realization of the i.i.d. field over a finite region of Z^d.
-
-    ``points`` is a lexicographically sorted (m, d) int64 array of distinct
-    lattice points and ``values[k]`` the field at ``points[k]``.  The same
-    sample serves all particle coordinates: the potential of a
-    configuration reads each particle position from this one map.
-    """
-
-    points: np.ndarray
-    values: np.ndarray
-
-    def value(self, point) -> float:
-        return float(self.values_at([point])[0])
-
-    def values_at(self, points) -> np.ndarray:
-        """Field values at an (m, d) array of points, by binary search."""
-        return self.values[region_rows(self.points, points)]
-
-
-def region_rows(region: np.ndarray, points) -> np.ndarray:
-    """Row of each of the (m, d) ``points`` in ``region``, by binary search.
-
-    ``region`` is a lexicographically sorted array of distinct points; a
-    point outside it raises FieldCoverageError naming the point.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=np.int64))
-    idx = np.searchsorted(_row_keys(region), _row_keys(points))
-    idx = np.minimum(idx, len(region) - 1)
-    hit = np.all(region[idx] == points, axis=1)
-    if not hit.all():
-        missing = tuple(int(c) for c in points[np.argmin(hit)])
-        raise FieldCoverageError(f"field sample does not cover lattice point {missing}")
-    return idx
-
-
-def sample_field(spec: DistributionSpec, region, seed: int, trial: int) -> FieldSample:
-    """Sample the field on ``region``, an (m, d) array of points, keyed by (seed, trial).
-
-    Bit-identical for equal arguments regardless of the order of the
-    points in ``region``, since each point is hashed independently.
+    ``sample_field(spec, cube.particle_points(), seed, trial)`` is the
+    (n, side^d) potential array of a cube.  Raises DistributionError for an
+    invalid measure.
     """
     violations = validate(spec)
     if violations:
         raise DistributionError(
             "invalid distribution: " + "; ".join(violations)
         )
-    points = distinct_points(region)
-    return FieldSample(points=points, values=draw_values(spec, points, seed, trial))
+    return draw_values(spec, points, seed, trial)

@@ -2,8 +2,10 @@
 
 At h = 0 the cube Hamiltonian is the Kronecker sum of the n single-particle
 Hamiltonians built from the same field, so its spectrum is the multiset of
-all sums of one eigenvalue per particle.  Only the sums are materialized;
-the tensor-product eigenfunctions are never needed downstream.
+all sums of one eigenvalue per particle.  Row i of the cube's (n, side^d)
+potential array is the whole field of particle i's single-particle cube.
+Only the sums are materialized; the tensor-product eigenfunctions are never
+needed downstream.
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,6 @@ import numpy as np
 
 from .hamiltonian import InteractionSpec, build_hamiltonian
 from .lattice import Cube
-from .randomfield import FieldSample
 from .spectral import Spectrum, full_spectrum
 
 
@@ -39,18 +40,19 @@ def sumset_spectrum(spectra) -> SumsetSpectrum:
     return SumsetSpectrum(terms=terms, sums=np.sort(sums))
 
 
-def verify_decomposition(cube: Cube, field: FieldSample) -> float:
+def verify_decomposition(cube: Cube, potentials: np.ndarray) -> float:
     """Max rank-matched deviation between the sumset and direct spectra.
 
-    Builds the n single-particle Hamiltonians on the factors of the cube
-    with the shared field, forms their eigenvalue sums, and compares against
-    direct diagonalization of the full operator at h = 0.
+    ``potentials`` is the cube's (n, side^d) potential array.  Builds the n
+    single-particle Hamiltonians on the factors of the cube, particle i on
+    row i, forms their eigenvalue sums, and compares against direct
+    diagonalization of the full operator at h = 0.
     """
     none = InteractionSpec.none()
     singles = [
-        full_spectrum(build_hamiltonian(cube.particle_cube(i), field, none, 0.0))
+        full_spectrum(build_hamiltonian(cube.particle_cube(i), potentials[i : i + 1], none, 0.0))
         for i in range(cube.center.n)
     ]
     combined = sumset_spectrum(singles)
-    direct = full_spectrum(build_hamiltonian(cube, field, none, 0.0))
+    direct = full_spectrum(build_hamiltonian(cube, potentials, none, 0.0))
     return float(np.max(np.abs(combined.sums - direct.eigenvalues)))

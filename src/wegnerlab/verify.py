@@ -62,8 +62,8 @@ def _random_instance(rng: np.random.Generator, seed: int, index: int):
         inter = InteractionSpec.none()
         h = 0.0
     cube = Cube(Site(n, d, (0,) * (n * d)), L)
-    field = sample_field(dist, cube.field_region(), derive_seed(seed, index), 0)
-    return build_hamiltonian(cube, field, inter, h)
+    potentials = sample_field(dist, cube.particle_points(), derive_seed(seed, index), 0)
+    return build_hamiltonian(cube, potentials, inter, h)
 
 
 def tensor_suite(
@@ -74,11 +74,11 @@ def tensor_suite(
     checked = 0
     for L in lengths:
         cube = Cube(Site(2, 1, (0, 0)), L)
-        region = cube.field_region()
+        points = cube.particle_points()
         dist = DistributionSpec.bernoulli(0.5, 0.0, 1.0)
         for t in range(fields_per_length):
-            field = sample_field(dist, region, derive_seed(seed, L), t)
-            worst = max(worst, verify_decomposition(cube, field))
+            potentials = sample_field(dist, points, derive_seed(seed, L), t)
+            worst = max(worst, verify_decomposition(cube, potentials))
             checked += 1
     return SuiteResult(
         name="tensor",
@@ -251,19 +251,19 @@ def perturbation_suite(instances: int = 1000, seed: int = 20260805) -> SuiteResu
     sigma, beta, L0 = 1.0, 0.5, 3
     inter = InteractionSpec.pair_contact(0, 1.0)
     cube = Cube(Site(n, d, (0,) * (n * d)), L)
-    region = cube.field_region()
+    points = cube.particle_points()
     dist = DistributionSpec.bernoulli(0.5, 0.0, 1.0)
     bound = h_star(1.0, sigma, L0, beta)
     violations = 0
     skipped = 0
     for t in range(instances):
-        field = sample_field(dist, region, seed, t)
-        h_free = build_hamiltonian(cube, field, inter, 0.0)
+        potentials = sample_field(dist, points, seed, t)
+        h_free = build_hamiltonian(cube, potentials, inter, 0.0)
         lo, hi = gershgorin_interval(h_free)
         u = float(hash_uniform01(seed, t, [[0x45]])[0])
         energy = lo + u * (hi - lo)
         h = 0.9 * bound * (1 if t % 2 == 0 else -1)
-        result = perturbation_check(cube, field, inter, h, energy, sigma, beta, L0)
+        result = perturbation_check(cube, potentials, inter, h, energy, sigma, beta, L0)
         if result.skipped:
             skipped += 1
         elif not result.ok:

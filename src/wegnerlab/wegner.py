@@ -22,12 +22,10 @@ from .hamiltonian import (
     build_hamiltonian,
     interaction_sup_norm,
 )
-from .lattice import Cube, Site, distinct_points
+from .lattice import Cube, Site
 from .randomfield import (
     DistributionSpec,
-    FieldSample,
     draw_values,
-    region_rows,
     sample_field,  # noqa: F401  (perfbench/spans.py wraps wegner.sample_field by name)
     support_sup,
     validate,
@@ -112,7 +110,7 @@ class PerturbationCheck:
 
 def perturbation_check(
     cube: Cube,
-    field: FieldSample,
+    potentials: np.ndarray,
     inter: InteractionSpec,
     h: float,
     energy: float,
@@ -122,6 +120,7 @@ def perturbation_check(
 ) -> PerturbationCheck:
     """Verify the weak-coupling stability of resonances on one instance.
 
+    ``potentials`` is the cube's (n, side^d) potential array.
     Clause (a), the second-resolvent-identity norm bound: with G = (H-E)^-1
     and its norm 1/dist for self-adjoint H,
 
@@ -141,8 +140,8 @@ def perturbation_check(
     if abs(h) >= bound:
         raise ValueError(f"|h| = {abs(h)} is not below h_star = {bound}")
     threshold = math.exp(-sigma * L0**beta)
-    h_free = build_hamiltonian(cube, field, inter, 0.0)
-    h_coupled = build_hamiltonian(cube, field, inter, h)
+    h_free = build_hamiltonian(cube, potentials, inter, 0.0)
+    h_coupled = build_hamiltonian(cube, potentials, inter, h)
     dist_free = dist_to_spectrum(h_free, energy)
     dist_coupled = dist_to_spectrum(h_coupled, energy)
 
@@ -195,15 +194,14 @@ class MCResult:
 
 
 class PreparedQuery(NamedTuple):
-    """The trial-invariant part of an event query.
+    """The trial-invariant part of an event query, all arrays read-only.
 
-    ``region`` is the sorted, distinct field region of all cubes; per cube,
-    ``cubes`` holds its assembly and the (n, side^d) region rows of each
-    particle digit.  Every array is read-only.
+    ``points`` is the (cubes, n, side^d, d) array of each cube's particle
+    points and ``assemblies`` holds one CubeAssembly per cube.
     """
 
-    region: np.ndarray
-    cubes: tuple[tuple[CubeAssembly, np.ndarray], ...]
+    points: np.ndarray
+    assemblies: tuple[CubeAssembly, ...]
 
 
 @dataclass(frozen=True)
@@ -238,7 +236,7 @@ class EventQuery:
 
     @cached_property
     def prepared(self) -> PreparedQuery:
-        """Cubes, field region, assemblies and digit rows, computed once.
+        """Particle points and assemblies of the cubes, computed once.
 
         Raises DistributionError for an invalid distribution, as
         sample_field does.
@@ -247,15 +245,10 @@ class EventQuery:
         if violations:
             raise DistributionError("invalid distribution: " + "; ".join(violations))
         cubes = _query_cubes(self)
-        points = [c.particle_points().reshape(-1, self.d) for c in cubes]
-        region = distinct_points(np.concatenate(points))
-        region.flags.writeable = False
-        prepared = []
-        for cube, cube_points in zip(cubes, points):
-            rows = region_rows(region, cube_points).reshape(self.n, -1)
-            rows.flags.writeable = False
-            prepared.append((CubeAssembly.of(cube, self.interaction, self.h), rows))
-        return PreparedQuery(region, tuple(prepared))
+        points = np.stack([c.particle_points() for c in cubes])
+        points.flags.writeable = False
+        assemblies = tuple(CubeAssembly.of(c, self.interaction, self.h) for c in cubes)
+        return PreparedQuery(points, assemblies)
 
 
 def _query_cubes(query: EventQuery) -> list[Cube]:
@@ -266,18 +259,34 @@ def _query_cubes(query: EventQuery) -> list[Cube]:
     return [first, Cube(Site(query.n, query.d, query.offset), query.L)]
 
 
+def capacity_problems(n: int, d: int, L: int) -> list[str]:
+    """The capacity rule for a cube of radius L in (Z^d)^n, from (n, d, L) alone.
+
+    The dimension (2L+1)^(n*d) is multiplied out one factor at a time and
+    abandoned at the first partial product above DENSE_LIMIT, so a huge n,
+    d or L costs a few multiplications; the report then gives that partial
+    product as a lower bound.
+    """
+    if L < 0:
+        return [f"cube radius must be >= 0, got {L}"]
+    dim, factors = 1, n * d
+    while L > 0 and factors > 0 and dim <= DENSE_LIMIT:
+        dim, factors = dim * (2 * L + 1), factors - 1
+    if dim <= DENSE_LIMIT:
+        return []
+    relation = "=" if factors == 0 else ">="
+    return [
+        f"cube dim (2L+1)^(n*d) {relation} {dim} exceeds the dense eigensolver limit {DENSE_LIMIT}"
+    ]
+
+
 def validate_query(query: EventQuery) -> list[str]:
     """Problems with one campaign row, all reported before any sampling."""
     distribution_problems = validate(query.distribution)
     problems = [f"distribution: {v}" for v in distribution_problems]
     if query.kind not in ("fixed", "variable", "two_volume"):
         problems.append(f"unknown event kind {query.kind!r}")
-    if query.L < 0:
-        problems.append(f"cube radius must be >= 0, got {query.L}")
-    elif (dim := (2 * query.L + 1) ** (query.n * query.d)) > DENSE_LIMIT:
-        problems.append(
-            f"cube dim (2L+1)^(n*d) = {dim} exceeds the dense eigensolver limit {DENSE_LIMIT}"
-        )
+    problems += capacity_problems(query.n, query.d, query.L)
     if not 0.0 < query.eps < math.inf:
         problems.append(f"eps must be positive and finite, got {query.eps}")
     numbers = {"h": query.h, "energy": query.energy}
@@ -311,13 +320,14 @@ def validate_query(query: EventQuery) -> list[str]:
 def evaluate_event(query: EventQuery, seed: int, trial: int) -> bool:
     """Sample one field realization and decide the event exactly.
 
-    The field is drawn on the query's prepared region; each cube's
-    potentials are read from it through the prepared digit rows.
+    One draw at the prepared particle points gives every cube its
+    (n, side^d) potentials; cubes that share a lattice point read the same
+    value, since the value is a pure function of (seed, trial, point).
     """
     prepared = query.prepared
-    values = draw_values(query.distribution, prepared.region, seed, trial)
+    potentials = draw_values(query.distribution, prepared.points, seed, trial)
     spectra = [
-        full_spectrum(assembly.matrix(values[rows])) for assembly, rows in prepared.cubes
+        full_spectrum(assembly.matrix(v)) for assembly, v in zip(prepared.assemblies, potentials)
     ]
     if query.kind == "fixed":
         return fixed_energy_event(spectra[0], query.energy, query.eps)

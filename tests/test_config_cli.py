@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -393,6 +394,48 @@ def test_run_rejects_over_capacity_lengths_before_sampling(tmp_path):
     assert result.exit_code == 0, result.output
     with open(dump) as f:
         assert read_matrix_dump(f).dim == 14641
+
+
+@pytest.mark.parametrize("event", ["variable", "two_volume"])
+def test_run_rejects_huge_particle_count_at_once(tmp_path, event):
+    # (2L+1)^(n*d) for n = 10^30 has ~10^30 digits; the capacity rule must
+    # give up after a few factors, before any EventQuery is built.  The
+    # subprocess timeout turns a hang into a failure instead of a stuck run.
+    doc = make_config(**{"model.n": 10**30, "run.event": event})
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "r.csv"
+    src = str(Path(wegnerlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    argv = [sys.executable, "-m", "wegnerlab", "run", "--config", str(config), "--out", str(out)]
+    proc = subprocess.run(
+        argv, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=10
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "config violation" in proc.stderr
+    assert "L=2: cube dim (2L+1)^(n*d) >= 15625 exceeds" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+    # in process, without the interpreter start-up, the rejection is immediate
+    started = time.perf_counter()
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    assert time.perf_counter() - started < 2.0
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert "config violation" in result.output
+
+
+def test_run_rejects_length_too_large_for_a_float(tmp_path):
+    # float(L) overflows for a 401-digit L; the capacity rule rejects the row
+    # from the exact integer before eps = exp(-sigma * L^beta) is computed
+    huge = 10**400
+    config = write_config(tmp_path, make_config(**{"model.L_list": [2, huge]}))
+    out = tmp_path / "r.csv"
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # a violation report, not a raw error
+    assert "config violation" in result.output
+    assert f"L={huge}: cube dim (2L+1)^(n*d) = {2 * huge + 1} exceeds" in result.output
+    assert "L=2:" not in result.output
+    assert not out.exists()
 
 
 def test_lyapunov_sweep_writes_csv(tmp_path):

@@ -1,10 +1,12 @@
-"""Golden sha256 hashes and exit statuses of ``run`` on the shipped configs.
+"""Golden outputs of ``run``, ``lyapunov-sweep`` and the ``verify`` suites.
 
 The hashes pin each results CSV byte for byte (field draws, assembly,
 spectra, event decisions, estimates and float formatting), so a change to
 any layer of a trial cannot silently move a campaign result.
 ``fixed_band_center`` exits 1 by design: its rows fail the L^-2 threshold
-(see the README).
+(see the README).  The sweep hash pins the transfer-matrix draws, and the
+suite pins pin every oracle's verdict and instance count, with the exact
+detail lines of the two suites whose details are counts.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 from wegnerlab.cli import main
+from wegnerlab.verify import run_suites
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -36,3 +39,34 @@ def test_run_matches_golden_hash(tmp_path, config):
     status, digest = GOLDEN[config]
     assert result.exit_code == status, result.output
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+SWEEP_SHA256 = "0f3abb5504e9e28d58ee617cbe1bfa4d220ee7cd4286aedb13c69159a9ed2b34"
+
+SUITES = {
+    "tensor": (True, 300),
+    "dist": (True, 100),
+    "resolvent": (True, 100),
+    "events": (True, 3000),
+    "perturbation": (True, 1000),
+    "lyapunov": (True, 3),
+}
+
+DETAILS = {
+    "events": "0 mismatches over 3000 instances (376 eventful, 7 re-drawn at the boundary band)",
+    "perturbation": "0 violations, 0 skipped, over 1000 instances",
+}
+
+
+def test_lyapunov_sweep_matches_golden_hash(tmp_path):
+    out = tmp_path / "sweep.csv"
+    args = ["lyapunov-sweep", "--config", str(CONFIGS / "lyapunov_sweep.json"), "--out", str(out)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256
+
+
+def test_verify_suites_match_golden_outcomes():
+    results = {r.name: r for r in run_suites()}
+    assert {name: (r.passed, r.checked) for name, r in results.items()} == SUITES
+    assert {name: results[name].detail for name in DETAILS} == DETAILS

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from wegnerlab.errors import FieldCoverageError
 from wegnerlab.hamiltonian import (
     InteractionSpec,
     SymMatrix,
@@ -14,21 +13,24 @@ from wegnerlab.hamiltonian import (
     write_matrix_dump,
 )
 from wegnerlab.lattice import Cube, Site
-from wegnerlab.randomfield import DistributionSpec, FieldSample, sample_field
+from wegnerlab.randomfield import DistributionSpec, draw_values, sample_field
 from wegnerlab.spectral import full_spectrum, gershgorin_interval
 
 NONE = InteractionSpec.none()
+BERNOULLI = DistributionSpec.bernoulli(0.5, 0.0, 1.0)
 
 
-def zero_field(cube: Cube) -> FieldSample:
-    region = cube.field_region()
-    return FieldSample(points=region, values=np.zeros(len(region)))
+def zero_field(cube: Cube) -> np.ndarray:
+    return np.zeros((cube.center.n, cube.side**cube.center.d))
 
 
-def bernoulli_field(cube: Cube, seed: int, trial: int = 0) -> FieldSample:
-    return sample_field(
-        DistributionSpec.bernoulli(0.5, 0.0, 1.0), cube.field_region(), seed, trial
-    )
+def bernoulli_field(cube: Cube, seed: int, trial: int = 0) -> np.ndarray:
+    return sample_field(BERNOULLI, cube.particle_points(), seed, trial)
+
+
+def point_value(spec: DistributionSpec, point, seed: int, trial: int = 0) -> float:
+    """The field at one lattice point, from its own one-point draw."""
+    return float(draw_values(spec, [point], seed, trial)[0])
 
 
 def test_single_site_free():
@@ -69,10 +71,10 @@ def test_diagonal_reads_shared_field():
     m = build_hamiltonian(cube, field, NONE, 0.0)
     diag = m.diagonal()
     for i, s in enumerate(cube_sites(cube)):
-        expected = 4.0 + field.value((s[0],)) + field.value((s[1],))
-        assert diag[i] == expected
+        v0, v1 = (point_value(BERNOULLI, (x,), 5) for x in s)
+        assert diag[i] == 4.0 + v0 + v1
         if s[0] == s[1]:
-            assert diag[i] == 4.0 + 2.0 * field.value((s[0],))
+            assert diag[i] == 4.0 + 2.0 * v0
 
 
 def test_symmetry_is_bitwise():
@@ -130,11 +132,18 @@ def test_h_linearity():
     assert np.allclose(np.diag(diff), 0.5 * np.diag(u), atol=1e-12)
 
 
-def test_missing_field_point_is_coverage_error():
-    cube = Cube(Site(1, 1, (0,)), 1)
-    partial = FieldSample(points=np.array([[0]]), values=np.array([1.0]))
-    with pytest.raises(FieldCoverageError, match=r"\(-1,\)"):
-        build_hamiltonian(cube, partial, NONE, 0.0)
+def test_wrong_shape_potentials_are_rejected():
+    cube = Cube(Site(2, 1, (0, 5)), 1)
+    assert build_hamiltonian(cube, zero_field(cube), NONE, 0.0).dim == 9
+    wrong = [
+        np.zeros((2, 2)),  # a particle cube point missing
+        np.zeros((1, 3)),  # a particle missing
+        np.zeros(6),  # the flat points of both particles
+        np.zeros((2, 3, 1)),  # shaped like the particle points, not their values
+    ]
+    for potentials in wrong:
+        with pytest.raises(ValueError, match=r"shape \(n, side\^d\) = \(2, 3\)"):
+            build_hamiltonian(cube, potentials, NONE, 0.0)
 
 
 def test_interaction_sup_norm_none():
@@ -165,8 +174,8 @@ def test_interaction_sup_norm_separated_centers_scans():
 def test_assembly_above_dense_limit():
     # two-point field with values {-2, 1}: the diagonal 2 + V is zero wherever V = -2
     cube = Cube(Site(1, 1, (0,)), 2500)  # 5001 sites
-    field = sample_field(DistributionSpec.bernoulli(0.5, -2.0, 1.0), cube.field_region(), 6, 0)
-    m = build_hamiltonian(cube, field, NONE, 0.0)
+    spec = DistributionSpec.bernoulli(0.5, -2.0, 1.0)
+    m = build_hamiltonian(cube, sample_field(spec, cube.particle_points(), 6, 0), NONE, 0.0)
     assert m.dim == 5001
     assert m.inf_norm() == 5.0
     zero_sites = np.flatnonzero(m.diagonal() == 0.0)
@@ -177,7 +186,7 @@ def test_assembly_above_dense_limit():
     assert entries == sorted(entries)
     row = {c: v for r, c, v in entries if r == 1}
     assert row[0] == -1.0 and row[2] == -1.0 and set(row) <= {0, 1, 2}
-    assert row.get(1, 0.0) == 2.0 + field.value((-2499,))
+    assert row.get(1, 0.0) == 2.0 + point_value(spec, (-2499,), 6)
     buf = io.StringIO()
     write_matrix_dump(m, buf)
     lines = buf.getvalue().splitlines()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import wegnerlab.randomfield as randomfield
-from wegnerlab.errors import DistributionError, FieldCoverageError
+from wegnerlab.errors import DistributionError
 from wegnerlab.randomfield import (
     DistributionSpec,
     derive_seed,
@@ -53,15 +53,12 @@ def test_point_mass_draws_are_constant():
     assert np.all(vals == 3.5)
 
 
-def same_sample(a, b) -> bool:
-    return np.array_equal(a.points, b.points) and np.array_equal(a.values, b.values)
-
-
 def test_same_key_same_sample():
     spec = DistributionSpec.bernoulli(0.5, 0.0, 1.0)
     a = sample_field(spec, REGION_1D, seed=42, trial=7)
     b = sample_field(spec, REGION_1D, seed=42, trial=7)
-    assert same_sample(a, b)
+    assert a.shape == (7,)
+    assert np.array_equal(a, b)
 
 
 def test_different_trial_different_sample():
@@ -69,7 +66,7 @@ def test_different_trial_different_sample():
     region = np.arange(64).reshape(-1, 1)
     a = sample_field(spec, region, seed=42, trial=0)
     b = sample_field(spec, region, seed=42, trial=1)
-    assert not np.array_equal(a.values, b.values)
+    assert not np.array_equal(a, b)
 
 
 def test_point_values_independent_of_region():
@@ -77,8 +74,8 @@ def test_point_values_independent_of_region():
     spec = DistributionSpec.uniform(0.0, 1.0)
     small = sample_field(spec, [(0,), (1,)], seed=5, trial=3)
     large = sample_field(spec, [(x,) for x in range(-5, 6)], seed=5, trial=3)
-    assert small.value((0,)) == large.value((0,))
-    assert small.value((1,)) == large.value((1,))
+    assert small[0] == large[5]
+    assert small[1] == large[6]
 
 
 def test_region_order_does_not_matter():
@@ -86,16 +83,21 @@ def test_region_order_does_not_matter():
     pts = [(x,) for x in range(10)]
     a = sample_field(spec, pts, seed=11, trial=2)
     b = sample_field(spec, list(reversed(pts)), seed=11, trial=2)
-    assert same_sample(a, b)
+    assert np.array_equal(a, b[::-1])
 
 
-def test_coverage_error_names_the_point():
-    spec = DistributionSpec.bernoulli()
-    field = sample_field(spec, [(0,)], seed=1, trial=0)
-    with pytest.raises(FieldCoverageError, match=r"\(3,\)"):
-        field.value((3,))
-    with pytest.raises(FieldCoverageError, match=r"\(-1,\)"):
-        field.values_at([(0,), (-1,), (0,)])
+def test_draws_keep_the_leading_shape_and_repeat_bitwise():
+    # a (cubes, n, side^d, d) stack of particle points, with repeated points
+    spec = DistributionSpec.uniform(-1.0, 1.0)
+    points = np.arange(-3, 3).reshape(1, 1, 6, 1) + np.array([0, 2]).reshape(1, 2, 1, 1)
+    points = np.concatenate([points, points[:, ::-1] + 1])
+    values = draw_values(spec, points, 13, 4)
+    assert values.shape == (2, 2, 6)
+    flat = draw_values(spec, points.reshape(-1, 1), 13, 4)
+    assert np.array_equal(values.ravel(), flat)
+    for p, v in zip(points.reshape(-1, 1), values.ravel()):
+        assert draw_values(spec, [p], 13, 4)[0] == v
+    assert np.array_equal(sample_field(spec, points, 13, 4), values)
 
 
 def test_bernoulli_mean_law_of_large_numbers():
@@ -160,11 +162,10 @@ def test_negative_coordinates_hash_cleanly():
     spec = DistributionSpec.uniform(0.0, 1.0)
     region = [(-(10**9), -3), (10**9, 3), (0, 0)]
     field = sample_field(spec, region, seed=3, trial=1)
-    assert len(field.values) == 3
-    assert all(0.0 <= v < 1.0 for v in field.values)
-    assert np.array_equal(field.values_at(region), draw_values(spec, region, 3, 1))
-    with pytest.raises(FieldCoverageError, match=r"\(1000000000, -3\)"):
-        field.value((10**9, -3))
+    assert field.shape == (3,)
+    assert all(0.0 <= v < 1.0 for v in field)
+    assert np.array_equal(field, draw_values(spec, region, 3, 1))
+    assert sample_field(spec, [(10**9, -3)], seed=3, trial=1)[0] not in field
 
 
 

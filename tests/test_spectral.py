@@ -26,10 +26,10 @@ def diag_matrix(*values):
 
 def random_hamiltonian(seed, n=1, d=1, L=12, h=0.0, inter=None):
     cube = Cube(Site(n, d, (0,) * (n * d)), L)
-    field = sample_field(
-        DistributionSpec.uniform(0.0, 2.0), cube.field_region(), seed, 0
+    potentials = sample_field(
+        DistributionSpec.uniform(0.0, 2.0), cube.particle_points(), seed, 0
     )
-    return build_hamiltonian(cube, field, inter or InteractionSpec.none(), h)
+    return build_hamiltonian(cube, potentials, inter or InteractionSpec.none(), h)
 
 
 def test_full_spectrum_diagonal():
@@ -144,14 +144,14 @@ def test_dirichlet_chain_above_dense_limit():
 
 def test_two_particle_distances_match_sumset():
     cube = Cube(Site(2, 1, (0, 0)), 20)
-    field = sample_field(
-        DistributionSpec.bernoulli(0.5, 0.0, 1.0), cube.field_region(), 5, 0
+    potentials = sample_field(
+        DistributionSpec.bernoulli(0.5, 0.0, 1.0), cube.particle_points(), 5, 0
     )
     none = InteractionSpec.none()
-    m = build_hamiltonian(cube, field, none, 0.0)
+    m = build_hamiltonian(cube, potentials, none, 0.0)
     assert m.dim == 1681 and m.banded().shape == (42, 1681)
     singles = [
-        full_spectrum(build_hamiltonian(cube.particle_cube(i), field, none, 0.0))
+        full_spectrum(build_hamiltonian(cube.particle_cube(i), potentials[i : i + 1], none, 0.0))
         for i in range(2)
     ]
     sums = sumset_spectrum(singles).sums

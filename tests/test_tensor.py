@@ -3,7 +3,7 @@ import pytest
 
 from wegnerlab.hamiltonian import InteractionSpec, build_hamiltonian
 from wegnerlab.lattice import Cube, Site
-from wegnerlab.randomfield import DistributionSpec, FieldSample, sample_field
+from wegnerlab.randomfield import DistributionSpec, sample_field
 from wegnerlab.spectral import Spectrum, full_spectrum
 from wegnerlab.tensor import sumset_spectrum, verify_decomposition
 
@@ -43,45 +43,45 @@ def test_decomposition_point_cube():
     # n=2, L=0 with constant potential c on the only point: direct entry 4 + 2c
     c = 0.7
     cube = Cube(Site(2, 1, (0, 0)), 0)
-    field = FieldSample(points=np.array([[0]]), values=np.array([c]))
-    assert verify_decomposition(cube, field) == 0.0
-    direct = build_hamiltonian(cube, field, InteractionSpec.none(), 0.0)
+    potentials = np.full((2, 1), c)
+    assert verify_decomposition(cube, potentials) == 0.0
+    direct = build_hamiltonian(cube, potentials, InteractionSpec.none(), 0.0)
     assert np.array_equal(direct.dense(), [[4.0 + 2.0 * c]])
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_decomposition_two_particles(seed):
     cube = Cube(Site(2, 1, (0, 0)), 2)
-    field = sample_field(
-        DistributionSpec.bernoulli(0.5, 0.0, 1.0), cube.field_region(), seed, 0
+    potentials = sample_field(
+        DistributionSpec.bernoulli(0.5, 0.0, 1.0), cube.particle_points(), seed, 0
     )
-    assert verify_decomposition(cube, field) <= 1e-9
+    assert verify_decomposition(cube, potentials) <= 1e-9
 
 
 def test_decomposition_three_particles():
     cube = Cube(Site(3, 1, (0, 0, 0)), 1)  # 27 x 27 direct matrix
-    field = sample_field(
-        DistributionSpec.bernoulli(0.5, 0.0, 1.0), cube.field_region(), 13, 0
+    potentials = sample_field(
+        DistributionSpec.bernoulli(0.5, 0.0, 1.0), cube.particle_points(), 13, 0
     )
-    assert verify_decomposition(cube, field) <= 1e-9
+    assert verify_decomposition(cube, potentials) <= 1e-9
 
 
 def test_decomposition_distinct_centers():
     cube = Cube(Site(2, 1, (0, 4)), 1)
-    field = sample_field(
-        DistributionSpec.uniform(0.0, 2.0), cube.field_region(), 29, 0
+    potentials = sample_field(
+        DistributionSpec.uniform(0.0, 2.0), cube.particle_points(), 29, 0
     )
-    assert verify_decomposition(cube, field) <= 1e-9
+    assert verify_decomposition(cube, potentials) <= 1e-9
 
 
 def test_sumset_count():
     cube = Cube(Site(2, 1, (0, 0)), 2)
-    field = sample_field(
-        DistributionSpec.bernoulli(0.5, 0.0, 1.0), cube.field_region(), 3, 0
+    potentials = sample_field(
+        DistributionSpec.bernoulli(0.5, 0.0, 1.0), cube.particle_points(), 3, 0
     )
     none = InteractionSpec.none()
     singles = [
-        full_spectrum(build_hamiltonian(cube.particle_cube(i), field, none, 0.0))
+        full_spectrum(build_hamiltonian(cube.particle_cube(i), potentials[i : i + 1], none, 0.0))
         for i in range(2)
     ]
     s = sumset_spectrum(singles)
@@ -94,15 +94,15 @@ def test_shift_covariance():
     # adding c to every site value shifts every sum by n*c
     cube = Cube(Site(2, 1, (0, 0)), 1)
     base = sample_field(
-        DistributionSpec.bernoulli(0.5, 0.0, 1.0), cube.field_region(), 11, 0
+        DistributionSpec.bernoulli(0.5, 0.0, 1.0), cube.particle_points(), 11, 0
     )
-    shifted = FieldSample(points=base.points, values=base.values + 0.25)
+    shifted = base + 0.25
     none = InteractionSpec.none()
 
-    def sums(field):
+    def sums(potentials):
         singles = [
-            full_spectrum(build_hamiltonian(cube.particle_cube(i), field, none, 0.0))
-            for i in range(2)
+            full_spectrum(build_hamiltonian(cube.particle_cube(i), v[None], none, 0.0))
+            for i, v in enumerate(potentials)
         ]
         return sumset_spectrum(singles).sums
 
@@ -112,16 +112,16 @@ def test_shift_covariance():
 def test_flipped_hopping_breaks_decomposition():
     # mutation sanity: a single off-diagonal sign flip must be caught
     cube = Cube(Site(2, 1, (0, 0)), 1)
-    field = sample_field(
-        DistributionSpec.bernoulli(0.5, 0.0, 1.0), cube.field_region(), 17, 0
+    potentials = sample_field(
+        DistributionSpec.bernoulli(0.5, 0.0, 1.0), cube.particle_points(), 17, 0
     )
     none = InteractionSpec.none()
     singles = [
-        full_spectrum(build_hamiltonian(cube.particle_cube(i), field, none, 0.0))
+        full_spectrum(build_hamiltonian(cube.particle_cube(i), potentials[i : i + 1], none, 0.0))
         for i in range(2)
     ]
     good = sumset_spectrum(singles).sums
-    broken = build_hamiltonian(cube, field, none, 0.0).dense()
+    broken = build_hamiltonian(cube, potentials, none, 0.0).dense()
     broken[0, 1] = broken[1, 0] = +1.0
     ev = np.linalg.eigvalsh(broken)
     assert np.max(np.abs(ev - good)) > 1e-6
@@ -129,7 +129,7 @@ def test_flipped_hopping_breaks_decomposition():
 
 def test_decomposition_two_particles_two_dimensions():
     cube = Cube(Site(2, 2, (0, 0, 1, -1)), 1)  # 81 x 81 direct matrix
-    field = sample_field(
-        DistributionSpec.uniform(0.0, 2.0), cube.field_region(), 37, 0
+    potentials = sample_field(
+        DistributionSpec.uniform(0.0, 2.0), cube.particle_points(), 37, 0
     )
-    assert verify_decomposition(cube, field) <= 1e-9
+    assert verify_decomposition(cube, potentials) <= 1e-9

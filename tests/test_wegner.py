@@ -6,9 +6,9 @@ import pytest
 
 import wegnerlab.wegner as wegner
 from wegnerlab.errors import DistributionError
-from wegnerlab.hamiltonian import InteractionSpec, build_hamiltonian
-from wegnerlab.lattice import Cube, Site, distinct_points, sup_norm
-from wegnerlab.randomfield import DistributionSpec, sample_field
+from wegnerlab.hamiltonian import InteractionSpec, SymMatrix
+from wegnerlab.lattice import Cube, Site, coords_array, sup_norm
+from wegnerlab.randomfield import DistributionSpec, draw_values, sample_field
 from wegnerlab.spectral import Spectrum, full_spectrum
 from wegnerlab.wegner import (
     EventQuery,
@@ -158,35 +158,35 @@ def test_delta0_arithmetic():
 
 def _perturbation_setup():
     cube = Cube(Site(2, 1, (0, 0)), 3)
-    field = sample_field(BERNOULLI, cube.field_region(), 99, 0)
+    potentials = sample_field(BERNOULLI, cube.particle_points(), 99, 0)
     inter = InteractionSpec.pair_contact(0, 1.0)
-    return cube, field, inter
+    return cube, potentials, inter
 
 
 def test_perturbation_check_h_zero():
-    cube, field, inter = _perturbation_setup()
-    result = perturbation_check(cube, field, inter, 0.0, 3.7, 1.0, 0.5, 3)
+    cube, potentials, inter = _perturbation_setup()
+    result = perturbation_check(cube, potentials, inter, 0.0, 3.7, 1.0, 0.5, 3)
     assert result.ok and not result.skipped
 
 
 def test_perturbation_check_scalar_case():
     # 1x1 cube: dist(E, spec(H_h)) = |a + h u - E| >= |a - E| - |h||u|
     cube = Cube(Site(2, 1, (0, 0)), 0)
-    field = sample_field(BERNOULLI, cube.field_region(), 7, 0)
+    potentials = sample_field(BERNOULLI, cube.particle_points(), 7, 0)
     inter = InteractionSpec.pair_contact(0, 1.0)
     bound = h_star(1.0, 1.0, 3, 0.5)
     for k, energy in enumerate(np.linspace(0.0, 8.0, 33)):
         result = perturbation_check(
-            cube, field, inter, 0.9 * bound, float(energy), 1.0, 0.5, 3
+            cube, potentials, inter, 0.9 * bound, float(energy), 1.0, 0.5, 3
         )
         assert result.skipped or result.ok, (k, result)
 
 
 def test_perturbation_check_requires_weak_coupling():
-    cube, field, inter = _perturbation_setup()
+    cube, potentials, inter = _perturbation_setup()
     bound = h_star(1.0, 1.0, 3, 0.5)
     with pytest.raises(ValueError, match="h_star"):
-        perturbation_check(cube, field, inter, 1.1 * bound, 2.0, 1.0, 0.5, 3)
+        perturbation_check(cube, potentials, inter, 1.1 * bound, 2.0, 1.0, 0.5, 3)
 
 
 def test_wilson_interval_zero_successes():
@@ -396,13 +396,44 @@ def test_decay_fit_q4_thresholds():
     assert all(ok for _, ok in fit.passes_polynomial)
 
 
+def _brute_force_matrix(query, cube, seed, trial):
+    """H on one cube, site by site from the model's definition.
+
+    The diagonal at configuration x is 2nd + V(x_1) + ... + V(x_n) + h*U(x),
+    summed in that order, each V(x_j) from its own one-point draw; the
+    hopping joins each site to its successor along every coordinate axis,
+    axis by axis in enumeration order.
+    """
+    n, d = query.n, query.d
+    sites = [tuple(x) for x in coords_array(cube).tolist()]
+    index = {x: k for k, x in enumerate(sites)}
+    inter = query.interaction
+    diag = []
+    for x in sites:
+        particles = [x[j * d : (j + 1) * d] for j in range(n)]
+        total = 2.0 * n * d
+        for p in particles:
+            total += float(draw_values(query.distribution, [p], seed, trial)[0])
+        pairs = sum(
+            max(abs(a - b) for a, b in zip(particles[i], particles[j])) <= inter.radius
+            for i in range(n)
+            for j in range(i + 1, n)
+        )
+        total += query.h * (inter.amplitude * pairs if inter.kind == "pair_contact" else 0.0)
+        diag.append(total)
+    bonds = [
+        (index[x], index[y])
+        for axis in range(n * d)
+        for x in sites
+        if (y := x[:axis] + (x[axis] + 1,) + x[axis + 1 :]) in index
+    ]
+    rows, cols = (np.array(c, dtype=np.int64) for c in zip(*bonds))
+    return SymMatrix(np.array(diag), rows, cols, np.full(len(bonds), -1.0))
+
+
 def _reference_trial(query, seed, trial):
-    """A trial by the composition the prepared path replaced: region union,
-    sample_field, build_hamiltonian, full_spectrum, then the event."""
-    cubes = wegner._query_cubes(query)
-    region = distinct_points(np.concatenate([c.field_region() for c in cubes]))
-    field = sample_field(query.distribution, region, seed, trial)
-    matrices = [build_hamiltonian(c, field, query.interaction, query.h) for c in cubes]
+    """A trial from the brute-force matrices, full_spectrum and the event."""
+    matrices = [_brute_force_matrix(query, c, seed, trial) for c in wegner._query_cubes(query)]
     spectra = [full_spectrum(m) for m in matrices]
     if query.kind == "fixed":
         decision = fixed_energy_event(spectra[0], query.energy, query.eps)
@@ -468,14 +499,44 @@ def test_prepared_query_is_cached_and_read_only():
     query = _EQUIVALENCE_QUERIES["two_volume-finite-n2d1-coupled"]
     prepared = query.prepared
     assert query.prepared is prepared
-    arrays = [prepared.region]
-    for assembly, rows in prepared.cubes:
-        arrays += [rows, assembly.rows, assembly.cols, assembly.vals, assembly.coupling]
+    assert prepared.points.shape == (2, 2, 5, 1)
+    arrays = [prepared.points]
+    for assembly in prepared.assemblies:
+        arrays += [assembly.rows, assembly.cols, assembly.vals, assembly.coupling]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 0
     # a replaced query prepares afresh
-    assert dataclasses.replace(query, h=0.0).prepared.cubes[0][0].coupling is None
+    assert dataclasses.replace(query, h=0.0).prepared.assemblies[0].coupling is None
+
+
+def test_overlapping_particle_boxes_read_one_shared_field(monkeypatch):
+    # cube 1 has both particles at 0; cube 2 has them at 1 and 3, so boxes
+    # overlap within the first cube and across the two cubes
+    query = EventQuery(
+        "two_volume", 2, 1, 2, DistributionSpec.uniform(0.0, 1.0), InteractionSpec.none(),
+        0.0, 0.05, window=(4.0, 4.4), offset=(1, 3),
+    )
+    drawn = []
+
+    def recording_matrix(assembly, potentials):
+        drawn.append(potentials)
+        return original(assembly, potentials)
+
+    original = wegner.CubeAssembly.matrix
+    monkeypatch.setattr(wegner.CubeAssembly, "matrix", recording_matrix)
+    points = query.prepared.points.reshape(-1)
+    for trial in range(5):
+        drawn.clear()
+        evaluate_event(query, 11, trial)
+        values = np.concatenate(drawn).ravel()
+        assert values.size == points.size == 20
+        by_point = {}
+        for p, v in zip(points.tolist(), values.tolist()):
+            by_point.setdefault(p, set()).add(v)
+        assert all(len(vs) == 1 for vs in by_point.values())
+        assert sorted(by_point) == list(range(-2, 6))
+        assert len(set(values.tolist())) == 8
 
 
 def test_evaluate_event_rejects_invalid_distribution():

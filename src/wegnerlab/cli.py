@@ -25,7 +25,7 @@ from .config import (
     validate_config,
     validate_sweep,
 )
-from .hamiltonian import build_hamiltonian, write_matrix_dump
+from .hamiltonian import SCAN_LIMIT, build_hamiltonian, write_matrix_dump
 from .lattice import Cube, Site
 from .randomfield import sample_field
 from .verify import ALL_SUITES, run_suites
@@ -211,11 +211,12 @@ def dump_matrix(config_path, out_path, length, trial, seed):
     L = config.model.L_list[0] if length is None else length
     if L < 1:
         raise click.ClickException(f"length must be >= 1, got {L}")
+    model = config.model
+    _require_valid(capacity_problems(model.n, model.d, L, SCAN_LIMIT, "assembly"))
     base_seed = config.run.seed if seed is None else seed
-    nd = config.model.n * config.model.d
-    cube = Cube(Site(config.model.n, config.model.d, (0,) * nd), L)
-    potentials = sample_field(config.model.distribution, cube.particle_points(), base_seed, trial)
-    matrix = build_hamiltonian(cube, potentials, config.model.interaction, config.model.h)
+    cube = Cube(Site(model.n, model.d, (0,) * (model.n * model.d)), L)
+    potentials = sample_field(model.distribution, cube.particle_points(), base_seed, trial)
+    matrix = build_hamiltonian(cube, potentials, model.interaction, model.h)
     with open(out_path, "w") as f:
         write_matrix_dump(matrix, f)
     click.echo(f"wrote dim-{matrix.dim} matrix dump to {out_path}")

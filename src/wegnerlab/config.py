@@ -20,6 +20,8 @@ SCHEMA_VERSION = 1
 
 EVENT_KINDS = ("fixed", "variable", "two_volume")
 
+_INT64_MAX = (1 << 63) - 1
+
 
 class ConfigError(ValueError):
     """The config document is structurally or semantically invalid."""
@@ -243,9 +245,14 @@ def validate_config(config: ExperimentConfig) -> list[str]:
     if config.run.trials < 1:
         problems.append(f"trials must be >= 1, got {config.run.trials}")
     nd = config.model.n * config.model.d
-    if config.run.offset is not None and len(config.run.offset) != nd:
+    offset = config.run.offset
+    if offset is not None and len(offset) != nd:
+        problems.append(f"offset length {len(offset)} does not match n*d = {nd}")
+    reach = max(config.model.L_list, default=0)
+    if offset is not None and any(abs(o) + reach > _INT64_MAX for o in offset):
         problems.append(
-            f"offset length {len(config.run.offset)} does not match n*d = {nd}"
+            f"every offset entry o needs |o| + max(L_list) <= {_INT64_MAX}, the int64 "
+            f"range of lattice coordinates; got {_show(list(offset))}"
         )
     if config.sweep is not None:
         problems += validate_sweep(config.sweep)

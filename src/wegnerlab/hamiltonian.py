@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CapacityError
 from .lattice import Cube, coords_array
 
-_SCAN_LIMIT = 1 << 22
+SCAN_LIMIT = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def interaction_values(cube: Cube, inter: InteractionSpec) -> np.ndarray:
     dim = cube.site_count
     if inter.kind == "none":
         return np.zeros(dim)
-    if dim > _SCAN_LIMIT:
+    if dim > SCAN_LIMIT:
         raise CapacityError(f"interaction scan over {dim} sites not supported")
     n, d = cube.center.n, cube.center.d
     counts = _pair_counts(coords_array(cube), n, d, inter.radius)

@@ -6,6 +6,11 @@ sorted sampled spectra; no grid approximation is involved.  All comparisons
 are closed (<=) to match the defining inequalities.  Probabilities are
 estimated by counting over counter-based trials, so the success count is
 bit-identical for a fixed seed.
+
+For n >= 2 a trial decides on the sumset of single-particle spectra (the
+exact h = 0 spectrum, moved by at most max|h*U| under weak coupling, by
+Weyl) whenever a certified margin clears the event boundary, and falls
+back to the dense spectra otherwise, so every decision is the dense one.
 """
 
 import math
@@ -31,8 +36,10 @@ from .randomfield import (
     validate,
 )
 from .spectral import DENSE_LIMIT, Spectrum, dist_to_spectrum, full_spectrum
+from .tensor import SumsetAssembly
 
 _WILSON_Z = 1.96
+_TOLERANCE = 1e-10
 
 
 def interval_dist(spec: Spectrum, interval: tuple[float, float]) -> float:
@@ -197,11 +204,16 @@ class PreparedQuery(NamedTuple):
     """The trial-invariant part of an event query, all arrays read-only.
 
     ``points`` is the (cubes, n, side^d, d) array of each cube's particle
-    points and ``assemblies`` holds one CubeAssembly per cube.
+    points and ``assemblies`` holds one CubeAssembly per cube.  ``sumset``
+    solves the single-particle operators of every cube (None for n = 1),
+    and ``margin`` bounds how far a sumset eigenvalue and the rank-matched
+    dense eigenvalue of the same cube can lie apart.
     """
 
     points: np.ndarray
     assemblies: tuple[CubeAssembly, ...]
+    sumset: SumsetAssembly | None
+    margin: float
 
 
 @dataclass(frozen=True)
@@ -248,7 +260,30 @@ class EventQuery:
         points = np.stack([c.particle_points() for c in cubes])
         points.flags.writeable = False
         assemblies = tuple(CubeAssembly.of(c, self.interaction, self.h) for c in cubes)
-        return PreparedQuery(points, assemblies)
+        sumset = SumsetAssembly.of(self.d, self.L) if self.n >= 2 else None
+        return PreparedQuery(points, assemblies, sumset, _margin(self, assemblies))
+
+
+def _diagonal_bound(query: EventQuery) -> float:
+    """2nd + n*max|V| + |h|*sup|U|, a bound on every diagonal entry of H."""
+    return (
+        2.0 * query.n * query.d
+        + query.n * support_sup(query.distribution)
+        + abs(query.h) * query.interaction.sup_bound(query.n)
+    )
+
+
+def _margin(query: EventQuery, assemblies) -> float:
+    """mu = tau + delta, by which sumset and dense eigenvalues can differ.
+
+    delta = max|h*U| over the cubes moves each eigenvalue of the h = 0
+    operator by at most delta (Weyl).  tau = 1e-10*(1 + ||H||), with
+    ||H|| <= 2nd + the diagonal bound (Gershgorin), lies far above the
+    dim*eps_machine*||H|| backward error of either eigensolver route.
+    """
+    tau = _TOLERANCE * (1.0 + 2.0 * query.n * query.d + _diagonal_bound(query))
+    couplings = [a.coupling for a in assemblies if a.coupling is not None]
+    return tau + max((float(np.max(np.abs(c))) for c in couplings), default=0.0)
 
 
 def _query_cubes(query: EventQuery) -> list[Cube]:
@@ -259,25 +294,25 @@ def _query_cubes(query: EventQuery) -> list[Cube]:
     return [first, Cube(Site(query.n, query.d, query.offset), query.L)]
 
 
-def capacity_problems(n: int, d: int, L: int) -> list[str]:
+def capacity_problems(
+    n: int, d: int, L: int, limit: int = DENSE_LIMIT, name: str = "dense eigensolver"
+) -> list[str]:
     """The capacity rule for a cube of radius L in (Z^d)^n, from (n, d, L) alone.
 
     The dimension (2L+1)^(n*d) is multiplied out one factor at a time and
-    abandoned at the first partial product above DENSE_LIMIT, so a huge n,
-    d or L costs a few multiplications; the report then gives that partial
-    product as a lower bound.
+    abandoned at the first partial product above ``limit`` (by default
+    DENSE_LIMIT), so a huge n, d or L costs a few multiplications; the
+    report then gives that partial product as a lower bound.
     """
     if L < 0:
         return [f"cube radius must be >= 0, got {L}"]
     dim, factors = 1, n * d
-    while L > 0 and factors > 0 and dim <= DENSE_LIMIT:
+    while L > 0 and factors > 0 and dim <= limit:
         dim, factors = dim * (2 * L + 1), factors - 1
-    if dim <= DENSE_LIMIT:
+    if dim <= limit:
         return []
     relation = "=" if factors == 0 else ">="
-    return [
-        f"cube dim (2L+1)^(n*d) {relation} {dim} exceeds the dense eigensolver limit {DENSE_LIMIT}"
-    ]
+    return [f"cube dim (2L+1)^(n*d) {relation} {dim} exceeds the {name} limit {limit}"]
 
 
 def validate_query(query: EventQuery) -> list[str]:
@@ -298,11 +333,7 @@ def validate_query(query: EventQuery) -> list[str]:
         if value is not None and not math.isfinite(value)
     ]
     if not distribution_problems and math.isfinite(query.h):
-        bound = (
-            2.0 * query.n * query.d
-            + query.n * support_sup(query.distribution)
-            + abs(query.h) * query.interaction.sup_bound(query.n)
-        )
+        bound = _diagonal_bound(query)
         if not math.isfinite(bound):
             problems.append(
                 f"diagonal bound 2nd + n*max|V| + |h|*sup|U| = {bound} is not finite"
@@ -317,23 +348,41 @@ def validate_query(query: EventQuery) -> list[str]:
     return problems
 
 
+def _decide(query: EventQuery, spectra, eps: float) -> bool:
+    """The query's event on the cubes' spectra, at closeness ``eps``."""
+    if query.kind == "fixed":
+        return fixed_energy_event(spectra[0], query.energy, eps)
+    if query.kind == "variable":
+        return variable_energy_event(spectra[0], query.window, eps)
+    return two_volume_event(spectra[0], spectra[1], query.window, eps)
+
+
 def evaluate_event(query: EventQuery, seed: int, trial: int) -> bool:
     """Sample one field realization and decide the event exactly.
 
     One draw at the prepared particle points gives every cube its
     (n, side^d) potentials; cubes that share a lattice point read the same
     value, since the value is a pure function of (seed, trial, point).
+
+    For n >= 2 the event is first decided on the sumset spectra.  Each
+    dense eigenvalue lies within the prepared margin mu of the rank-matched
+    sumset eigenvalue, so an event that fails on the sums at eps + mu fails
+    on the dense spectra at eps, and one that holds at eps - mu holds there.
+    Otherwise the dense spectra of the same potentials decide.  Either way
+    the decision is the dense one.
     """
     prepared = query.prepared
     potentials = draw_values(query.distribution, prepared.points, seed, trial)
+    if prepared.sumset is not None:
+        sums = prepared.sumset.spectra(potentials)
+        if not _decide(query, sums, query.eps + prepared.margin):
+            return False
+        if _decide(query, sums, query.eps - prepared.margin):
+            return True
     spectra = [
         full_spectrum(assembly.matrix(v)) for assembly, v in zip(prepared.assemblies, potentials)
     ]
-    if query.kind == "fixed":
-        return fixed_energy_event(spectra[0], query.energy, query.eps)
-    if query.kind == "variable":
-        return variable_energy_event(spectra[0], query.window, query.eps)
-    return two_volume_event(spectra[0], spectra[1], query.window, query.eps)
+    return _decide(query, spectra, query.eps)
 
 
 def mc_estimate(query: EventQuery, trials: int, seed: int) -> MCResult:

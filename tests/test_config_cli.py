@@ -404,12 +404,7 @@ def test_run_rejects_huge_particle_count_at_once(tmp_path, event):
     doc = make_config(**{"model.n": 10**30, "run.event": event})
     config = write_config(tmp_path, doc)
     out = tmp_path / "r.csv"
-    src = str(Path(wegnerlab.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    argv = [sys.executable, "-m", "wegnerlab", "run", "--config", str(config), "--out", str(out)]
-    proc = subprocess.run(
-        argv, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=10
-    )
+    proc = _run_cli_subprocess(["run", "--config", str(config), "--out", str(out)])
     assert proc.returncode == 1, proc.stderr
     assert "config violation" in proc.stderr
     assert "L=2: cube dim (2L+1)^(n*d) >= 15625 exceeds" in proc.stderr
@@ -421,6 +416,62 @@ def test_run_rejects_huge_particle_count_at_once(tmp_path, event):
     assert time.perf_counter() - started < 2.0
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert "config violation" in result.output
+
+
+def _run_cli_subprocess(args):
+    """``python -m wegnerlab ARGS`` on the package under test, with a timeout."""
+    src = str(Path(wegnerlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    argv = [sys.executable, "-m", "wegnerlab", *args]
+    return subprocess.run(
+        argv, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=10
+    )
+
+
+def test_run_rejects_offset_outside_int64_before_sampling(tmp_path):
+    # the second cube's coordinates reach |offset| + L; past the int64
+    # range the particle points cannot be formed, so the config is rejected
+    doc = make_config(
+        **{"model.n": 2, "run.event": "two_volume", "run.offset": [10**30, 0], "run.trials": 5}
+    )
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "r.csv"
+    proc = _run_cli_subprocess(["run", "--config", str(config), "--out", str(out)])
+    assert proc.returncode == 1, proc.stderr
+    assert "config violation" in proc.stderr
+    assert "every offset entry o needs |o| + max(L_list) <= 9223372036854775807" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+    # the bound is exact: the largest coordinate 2^63 - 1 still runs
+    edge = (1 << 63) - 1 - 3
+    for o, ok in [(edge, True), (edge + 1, False), (-edge, True), (-edge - 1, False)]:
+        doc["run"]["offset"] = [0, o]
+        problems = validate_config(parse_config(json.dumps(doc)))
+        assert (problems == []) == ok, (o, problems)
+    doc["run"]["offset"] = [0, edge]
+    config = write_config(tmp_path, doc)
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+    assert "wrote 2 rows" in result.output
+
+
+def test_dump_matrix_rejects_huge_particle_count_at_once(tmp_path):
+    # dump-matrix applies the capacity rule with the assembly's site limit,
+    # so (0,) * (n*d) is never formed for n = 10^30
+    config = write_config(tmp_path, make_config(**{"model.n": 10**30}))
+    out = tmp_path / "m.txt"
+    args = ["dump-matrix", "--config", str(config), "--out", str(out)]
+    proc = _run_cli_subprocess(args)
+    assert proc.returncode == 1, proc.stderr
+    assert "config violation" in proc.stderr
+    assert "cube dim (2L+1)^(n*d) >= 9765625 exceeds the assembly limit 4194304" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+    started = time.perf_counter()
+    result = CliRunner().invoke(main, args)
+    assert time.perf_counter() - started < 2.0
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert not out.exists()
 
 
 def test_run_rejects_length_too_large_for_a_float(tmp_path):

@@ -41,6 +41,25 @@ def test_run_matches_golden_hash(tmp_path, config):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# The benchmark's edge_pair workload (n = 2 two-volume, L = 2, 3, 4) at two
+# seeds other than its config seed, so the campaign path the benchmark
+# times is pinned on draws it was not tuned on.
+EDGE_PAIR = Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "edge_pair.json"
+EDGE_PAIR_GOLDEN = {
+    11: "ce7a204d6be33bb2f33531547c4cb476740d25ed7f603c1bd5b1a30946f7e123",
+    12345: "d7ac986b838d0e9e9f458e1131a7bf45e5161090376adcfb444268c46f53bab0",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EDGE_PAIR_GOLDEN))
+def test_edge_pair_workload_matches_golden_hash(tmp_path, seed):
+    out = tmp_path / "results.csv"
+    args = ["run", "--config", str(EDGE_PAIR), "--out", str(out), "--seed", str(seed)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EDGE_PAIR_GOLDEN[seed]
+
+
 SWEEP_SHA256 = "0f3abb5504e9e28d58ee617cbe1bfa4d220ee7cd4286aedb13c69159a9ed2b34"
 
 SUITES = {

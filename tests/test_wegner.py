@@ -431,17 +431,19 @@ def _brute_force_matrix(query, cube, seed, trial):
     return SymMatrix(np.array(diag), rows, cols, np.full(len(bonds), -1.0))
 
 
+def _event_on(query, spectra):
+    """The query's event function on the cubes' spectra, at the query's eps."""
+    if query.kind == "fixed":
+        return fixed_energy_event(spectra[0], query.energy, query.eps)
+    if query.kind == "variable":
+        return variable_energy_event(spectra[0], query.window, query.eps)
+    return two_volume_event(spectra[0], spectra[1], query.window, query.eps)
+
+
 def _reference_trial(query, seed, trial):
     """A trial from the brute-force matrices, full_spectrum and the event."""
     matrices = [_brute_force_matrix(query, c, seed, trial) for c in wegner._query_cubes(query)]
-    spectra = [full_spectrum(m) for m in matrices]
-    if query.kind == "fixed":
-        decision = fixed_energy_event(spectra[0], query.energy, query.eps)
-    elif query.kind == "variable":
-        decision = variable_energy_event(spectra[0], query.window, query.eps)
-    else:
-        decision = two_volume_event(spectra[0], spectra[1], query.window, query.eps)
-    return decision, matrices
+    return _event_on(query, [full_spectrum(m) for m in matrices]), matrices
 
 
 _PAIR = InteractionSpec.pair_contact(0, 1.0)
@@ -473,22 +475,28 @@ _EQUIVALENCE_QUERIES = {
 
 @pytest.mark.parametrize("name", sorted(_EQUIVALENCE_QUERIES))
 def test_prepared_trial_matches_reference_composition(monkeypatch, name):
+    # the trial's draw, assembled by the prepared assemblies, is the
+    # brute-force matrix of every cube, and the trial's decision (sumset
+    # or dense route) is the brute-force one
     query = _EQUIVALENCE_QUERIES[name]
     assert validate_query(query) == []
-    solved = []
+    drawn = []
 
-    def recording_full_spectrum(matrix):
-        solved.append(matrix)
-        return full_spectrum(matrix)
+    def recording_draw_values(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
 
-    monkeypatch.setattr(wegner, "full_spectrum", recording_full_spectrum)
+    draw = wegner.draw_values
+    monkeypatch.setattr(wegner, "draw_values", recording_draw_values)
     decisions = []
     for trial in range(60):
-        solved.clear()
+        drawn.clear()
         decision, matrices = _reference_trial(query, 23, trial)
         assert evaluate_event(query, 23, trial) == decision
-        assert len(solved) == len(matrices)
-        for got, want in zip(solved, matrices):
+        (potentials,) = drawn
+        assert len(potentials) == len(matrices)
+        for assembly, v, want in zip(query.prepared.assemblies, potentials, matrices):
+            got = assembly.matrix(v)
             for field in ("diag", "rows", "cols", "vals"):
                 assert np.array_equal(getattr(got, field), getattr(want, field)), field
         decisions.append(decision)
@@ -500,7 +508,7 @@ def test_prepared_query_is_cached_and_read_only():
     prepared = query.prepared
     assert query.prepared is prepared
     assert prepared.points.shape == (2, 2, 5, 1)
-    arrays = [prepared.points]
+    arrays = [prepared.points, prepared.sumset.kinetic]
     for assembly in prepared.assemblies:
         arrays += [assembly.rows, assembly.cols, assembly.vals, assembly.coupling]
     for a in arrays:
@@ -519,12 +527,12 @@ def test_overlapping_particle_boxes_read_one_shared_field(monkeypatch):
     )
     drawn = []
 
-    def recording_matrix(assembly, potentials):
-        drawn.append(potentials)
-        return original(assembly, potentials)
+    def recording_draw_values(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
 
-    original = wegner.CubeAssembly.matrix
-    monkeypatch.setattr(wegner.CubeAssembly, "matrix", recording_matrix)
+    draw = wegner.draw_values
+    monkeypatch.setattr(wegner, "draw_values", recording_draw_values)
     points = query.prepared.points.reshape(-1)
     for trial in range(5):
         drawn.clear()
@@ -545,3 +553,142 @@ def test_evaluate_event_rejects_invalid_distribution():
     )
     with pytest.raises(DistributionError, match="single-point support"):
         evaluate_event(bad, 0, 0)
+
+
+def _dense_decision(query, potentials):
+    """The dense composition: full_spectrum of each assembled cube, then the event."""
+    assemblies = query.prepared.assemblies
+    return _event_on(query, [full_spectrum(a.matrix(v)) for a, v in zip(assemblies, potentials)])
+
+
+def _counting_full_spectrum(monkeypatch):
+    """Replace wegner.full_spectrum by a counting pass-through; return the count list."""
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix.dim)
+        return full_spectrum(matrix)
+
+    monkeypatch.setattr(wegner, "full_spectrum", counting)
+    return calls
+
+
+_UNIFORM = DistributionSpec.uniform(0.0, 2.0)
+# (query, trials): every event kind, n = 2 and 3, d = 1 and 2, Bernoulli and
+# uniform, h = 0 and h = 0.01 with pair_contact; 10^4 decisions in all
+_ROUTE_QUERIES = {
+    "two_volume-bernoulli-n2d1-L4": (
+        EventQuery("two_volume", 2, 1, 4, BERNOULLI, InteractionSpec.none(), 0.0,
+                   math.exp(-2.0), window=(0.3 - delta0(1.0, 4, 0.5), 0.3 + delta0(1.0, 4, 0.5))),
+        1500,
+    ),
+    "variable-bernoulli-n2d1-L3-coupled": (
+        EventQuery("variable", 2, 1, 3, BERNOULLI, _PAIR, 0.01, math.exp(-math.sqrt(3.0)),
+                   window=(0.3 - delta0(1.0, 3, 0.5), 0.3 + delta0(1.0, 3, 0.5))),
+        1500,
+    ),
+    "fixed-uniform-n2d1-L2": (
+        EventQuery("fixed", 2, 1, 2, _UNIFORM, InteractionSpec.none(), 0.0, 0.1, energy=4.0),
+        1500,
+    ),
+    "fixed-bernoulli-n3d1-L1-coupled": (
+        EventQuery("fixed", 3, 1, 1, BERNOULLI, _PAIR, 0.01, 0.1, energy=6.7),
+        1500,
+    ),
+    "variable-uniform-n3d1-L1": (
+        EventQuery("variable", 3, 1, 1, _UNIFORM, InteractionSpec.none(), 0.0, 0.02,
+                   window=(6.0, 6.1)),
+        1000,
+    ),
+    "two_volume-uniform-n2d2-L1-coupled": (
+        EventQuery("two_volume", 2, 2, 1, _UNIFORM, _PAIR, 0.01, 0.05, window=(8.0, 8.3)),
+        1000,
+    ),
+    "variable-bernoulli-n2d2-L1": (
+        EventQuery("variable", 2, 2, 1, BERNOULLI, InteractionSpec.none(), 0.0, 0.05,
+                   window=(9.0, 9.2)),
+        1000,
+    ),
+    "two_volume-bernoulli-n3d1-L1": (
+        EventQuery("two_volume", 3, 1, 1, BERNOULLI, InteractionSpec.none(), 0.0, 0.1,
+                   window=(6.5, 7.0)),
+        1000,
+    ),
+}
+
+
+def test_sumset_route_matches_dense_composition(monkeypatch):
+    calls = _counting_full_spectrum(monkeypatch)
+    decisions = fallbacks = 0
+    for name, (query, trials) in _ROUTE_QUERIES.items():
+        assert validate_query(query) == [], name
+        cubes = len(query.prepared.assemblies)
+        successes = fallen_back = 0
+        for trial in range(trials):
+            potentials = draw_values(query.distribution, query.prepared.points, 29, trial)
+            calls.clear()
+            decided = evaluate_event(query, 29, trial)
+            fallen_back += len(calls) == cubes
+            assert len(calls) in (0, cubes)
+            assert decided == _dense_decision(query, potentials), (name, trial)
+            successes += decided
+        assert 0 < successes < trials, name  # both outcomes occur on every query
+        assert fallen_back == 0 if query.h == 0.0 else fallen_back < trials // 10, name
+        decisions += trials
+        fallbacks += fallen_back
+    assert decisions >= 10**4
+    assert 0 < fallbacks  # the weak-coupling rows reach the dense fallback
+
+
+def _top_eigenvalues(query, seed, trial):
+    potentials = draw_values(query.distribution, query.prepared.points, seed, trial)
+    return [
+        float(full_spectrum(a.matrix(v)).eigenvalues[-1])
+        for a, v in zip(query.prepared.assemblies, potentials)
+    ], potentials
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["two_volume-bernoulli-n2d1-L4", "fixed-bernoulli-n3d1-L1-coupled",
+     "variable-bernoulli-n2d2-L1", "two_volume-uniform-n2d2-L1-coupled"],
+)
+def test_sumset_route_falls_back_on_boundary_instances(monkeypatch, name):
+    # Each instance puts the event boundary exactly on a dense eigenvalue:
+    # the energy, or the window's lower end, at lambda_max + eps, and a
+    # two-volume window starting at the right end min(x, y) + eps of the
+    # joint fattened set of the two cubes' top eigenvalues.  No certified
+    # margin clears such a boundary, so the dense fallback must decide.
+    base, _ = _ROUTE_QUERIES[name]
+    calls = _counting_full_spectrum(monkeypatch)
+    for trial in range(20):
+        tops, potentials = _top_eigenvalues(base, 31, trial)
+        x = tops[0]
+        pair_eps = abs(tops[-1] - x) / 2.0 + 0.05
+        instances = [
+            dataclasses.replace(base, kind="fixed", energy=x + base.eps, window=None,
+                                offset=None),
+            dataclasses.replace(base, kind="variable", energy=None,
+                                window=(x + base.eps, x + base.eps + 0.25), offset=None),
+        ]
+        if base.kind == "two_volume":
+            lo = min(tops) + pair_eps
+            instances.append(dataclasses.replace(base, eps=pair_eps, window=(lo, lo + 0.5)))
+        for query in instances:
+            calls.clear()
+            decided = evaluate_event(query, 31, trial)
+            assert len(calls) == len(query.prepared.assemblies), (query.kind, trial)
+            assert decided == _dense_decision(query, potentials), (query.kind, trial)
+
+
+def test_one_particle_queries_never_build_a_sumset_assembly(monkeypatch):
+    def no_sumset(*args):
+        raise AssertionError("built a sumset assembly for n = 1")
+
+    monkeypatch.setattr(wegner.SumsetAssembly, "of", no_sumset)
+    for name in ("fixed-bernoulli-n1d1", "variable-finite-n1d2-coupled",
+                 "two_volume-bernoulli-n1d2-overlapping"):
+        query = dataclasses.replace(_EQUIVALENCE_QUERIES[name])  # a fresh, unprepared copy
+        for trial in range(10):
+            evaluate_event(query, 5, trial)
+        assert query.prepared.sumset is None

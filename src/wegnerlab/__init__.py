@@ -23,7 +23,7 @@ from .spectral import (
     resolvent_norm,
     smallest_singular_value,
 )
-from .tensor import SumsetSpectrum, sumset_spectrum, verify_decomposition
+from .tensor import verify_decomposition
 from .transfer import LyapunovEstimate, lyapunov, transfer_matrix
 from .wegner import (
     DecayFit,

@@ -202,7 +202,12 @@ def lyapunov_sweep(config_path, out_path, seed):
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--length", type=int, default=None, help="Cube radius; default first of L_list.")
-@click.option("--trial", type=int, default=0, help="Trial index of the field sample.")
+@click.option(
+    "--trial",
+    type=click.IntRange(-(2**63), 2**64 - 1),
+    default=0,
+    help="Trial index of the field sample, a 64-bit word.",
+)
 @click.option("--seed", type=int, default=None, help="Override run.seed.")
 def dump_matrix(config_path, out_path, length, trial, seed):
     """Assemble one Hamiltonian and dump its nonzeros for cross-checking."""

@@ -49,16 +49,20 @@ def _as_words(values) -> np.ndarray:
     return np.ascontiguousarray(arr).view(np.uint64)
 
 
-def hash_uniform01(seed: int, trial: int, words) -> np.ndarray:
+def hash_uniform01(seed: int, trial, words) -> np.ndarray:
     """Uniform [0, 1) variates keyed by (seed, trial, words[k, :]).
 
     ``words`` is an (m, w) integer array; one variate per row, with 53-bit
-    resolution.  Pure function of its arguments: uint64 arithmetic only,
-    no shared state.  The (seed, trial) prefix is the same for every row,
-    so it is absorbed once, in scalar arithmetic.
+    resolution.  ``trial`` is an integer or an integer array, each entry a
+    64-bit word (signed or unsigned); the result has shape
+    ``np.shape(trial) + (m,)``, and each trial's row is bitwise the
+    variates of that trial alone.  Pure function of its arguments: uint64
+    arithmetic only, no shared state.  The seed is absorbed once, in
+    scalar arithmetic, and each trial once per trial.
     """
     w = _as_words(words)
-    h = np.full(w.shape[0], _chain(seed, trial), dtype=np.uint64)
+    trials = np.asarray(trial).astype(np.uint64)
+    h = _mix64(np.uint64(_chain(seed)) ^ trials[..., None])
     for k in range(w.shape[1]):
         h = _mix64(h ^ w[:, k])
     return (h >> _S11).astype(np.float64) / _TWO53
@@ -165,17 +169,19 @@ def _transform(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
     raise DistributionError(f"unknown distribution kind {spec.kind!r}")
 
 
-def draw_values(spec: DistributionSpec, points, seed: int, trial: int) -> np.ndarray:
+def draw_values(spec: DistributionSpec, points, seed: int, trial) -> np.ndarray:
     """i.i.d. draws from the measure at integer points, keyed by (seed, trial).
 
     ``points`` is an integer array of any leading shape whose last axis
-    holds a point's coordinates; the result has shape ``points.shape[:-1]``.
-    No validation is applied here; degenerate measures are allowed for
-    diagnostics (transfer-matrix closed-form checks).
+    holds a point's coordinates; ``trial`` is an int or an integer array of
+    trials.  The result has shape ``np.shape(trial) + points.shape[:-1]``,
+    bitwise equal to one call per trial.  No validation is applied here;
+    degenerate measures are allowed for diagnostics (transfer-matrix
+    closed-form checks).
     """
     points = np.asarray(points, dtype=np.int64)
     u = hash_uniform01(seed, trial, points.reshape(-1, points.shape[-1]))
-    return _transform(spec, u).reshape(points.shape[:-1])
+    return _transform(spec, u).reshape(np.shape(trial) + points.shape[:-1])
 
 
 def sample_field(spec: DistributionSpec, points, seed: int, trial: int) -> np.ndarray:

@@ -9,7 +9,11 @@ needed downstream.
 
 ``SumsetAssembly`` is the campaign's route to those sums: one read-only
 single-particle kinetic matrix serves every particle of every cube, and a
-trial solves all of them in one stacked call.  ``verify_decomposition``
+block of trials solves all of them, for every trial of the block, in one
+stacked ``eigvalsh`` call.  The sorted sums come back as one (trials,
+cubes, m^n) array, m = side^d; no Spectrum objects are built.  The stack
+holds trials * cubes * n * m^2 floats, which the campaign's block size
+keeps under a fixed element budget (``wegner``).  ``verify_decomposition``
 goes through the same assembly, so the ``tensor`` suite checks the sums a
 campaign trial decides on.
 """
@@ -20,35 +24,23 @@ import numpy as np
 
 from .hamiltonian import CubeAssembly, InteractionSpec, build_hamiltonian
 from .lattice import Cube, Site
-from .spectral import Spectrum, full_spectrum
+from .spectral import full_spectrum
 
 
 def sorted_sums(eigenvalues) -> np.ndarray:
-    """Sorted multiset {sum_i lambda_(i, j_i)} over one entry of each array."""
-    sums = eigenvalues[0]
-    for ev in eigenvalues[1:]:
-        sums = np.add.outer(sums, ev).ravel()
-    return np.sort(sums)
+    """Sorted multiset {sum_i lambda_(i, j_i)} over one entry of each row.
 
-
-@dataclass(frozen=True)
-class SumsetSpectrum:
-    """All sums of one eigenvalue per source spectrum, duplicates retained.
-
-    Two-point disorder produces exact degeneracies, so the multiset count
-    invariant |sums| = prod dim_i must hold with multiplicity.
+    ``eigenvalues`` has shape (..., n, m): n rows of m eigenvalues for each
+    leading index.  The result has shape (..., m^n), sorted along the last
+    axis, duplicates retained.
     """
-
-    terms: tuple[Spectrum, ...]
-    sums: np.ndarray
-
-
-def sumset_spectrum(spectra) -> SumsetSpectrum:
-    """Sorted multiset {sum_i lambda_(i, j_i)} over all index choices."""
-    terms = tuple(spectra)
-    if not terms:
-        raise ValueError("sumset of zero spectra is undefined")
-    return SumsetSpectrum(terms=terms, sums=sorted_sums([t.eigenvalues for t in terms]))
+    eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
+    sums = eigenvalues[..., 0, :]
+    for k in range(1, eigenvalues.shape[-2]):
+        ev = eigenvalues[..., k, :]
+        sums = sums[..., :, None] + ev[..., None, :]
+        sums = sums.reshape(sums.shape[:-2] + (sums.shape[-2] * sums.shape[-1],))
+    return np.sort(sums, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -71,22 +63,21 @@ class SumsetAssembly:
         kinetic.flags.writeable = False
         return cls(kinetic)
 
-    def spectra(self, potentials: np.ndarray) -> list[Spectrum]:
-        """The h = 0 spectrum of each cube, from its (n, m) potentials.
+    def spectra(self, potentials: np.ndarray) -> np.ndarray:
+        """The sorted h = 0 spectrum of each cube, from its (n, m) potentials.
 
-        ``potentials`` has shape (cubes, n, m).  All cubes * n
-        single-particle matrices are copied from ``kinetic`` into a fresh
-        stack, given their potentials on the diagonal and solved in one
-        stacked call; each cube's spectrum is the sorted sumset of its n
-        rows of eigenvalues.
+        ``potentials`` has shape (..., n, m), in a campaign (trials, cubes,
+        n, m); the result has shape (..., m^n).  Every single-particle
+        matrix is copied from ``kinetic`` into one fresh stack, given its
+        potentials on the diagonal and solved in one stacked call; each
+        cube's spectrum is the sorted sumset of its n rows of eigenvalues.
         """
         m = self.kinetic.shape[0]
         stack = np.empty(potentials.shape + (m,))
         stack[...] = self.kinetic
         diagonals = stack.reshape(potentials.shape[:-1] + (m * m,))[..., :: m + 1]
         diagonals += potentials
-        singles = np.linalg.eigvalsh(stack)
-        return [Spectrum(sorted_sums(rows), m ** len(rows)) for rows in singles]
+        return sorted_sums(np.linalg.eigvalsh(stack))
 
 
 def verify_decomposition(cube: Cube, potentials: np.ndarray) -> float:
@@ -98,6 +89,6 @@ def verify_decomposition(cube: Cube, potentials: np.ndarray) -> float:
     against direct diagonalization of the full operator at h = 0.
     """
     assembly = SumsetAssembly.of(cube.center.d, cube.radius)
-    (combined,) = assembly.spectra(np.asarray(potentials, dtype=np.float64)[None])
+    combined = assembly.spectra(np.asarray(potentials, dtype=np.float64))
     direct = full_spectrum(build_hamiltonian(cube, potentials, InteractionSpec.none(), 0.0))
-    return float(np.max(np.abs(combined.eigenvalues - direct.eigenvalues)))
+    return float(np.max(np.abs(combined - direct.eigenvalues)))

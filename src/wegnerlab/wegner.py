@@ -7,10 +7,20 @@ are closed (<=) to match the defining inequalities.  Probabilities are
 estimated by counting over counter-based trials, so the success count is
 bit-identical for a fixed seed.
 
-For n >= 2 a trial decides on the sumset of single-particle spectra (the
-exact h = 0 spectrum, moved by at most max|h*U| under weak coupling, by
-Weyl) whenever a certified margin clears the event boundary, and falls
-back to the dense spectra otherwise, so every decision is the dense one.
+A campaign decides its trials in blocks.  ``evaluate_event`` draws a
+block's (trials, cubes, n, side^d) potentials in one hash call and
+``decide`` turns them into one decision per trial.  For n >= 2 the block
+makes one stacked single-particle solve and gets the cubes' sorted sumset
+spectra (the exact h = 0 spectra, moved by at most max|h*U| under weak
+coupling, by Weyl).  One vectorised pass computes each trial's signed
+margin on the sums, the smallest closeness at which its event holds there;
+a trial whose margin clears eps by the certified bound mu is decided by
+it.  Every other trial, and every n = 1 trial, is decided on the dense
+spectra of the same potentials by the closed comparisons, so every
+decision is the dense one and a trial's decision does not depend on the
+block it is drawn in.  A block holds at most _BLOCK_ELEMENTS floats per
+array: its size is that budget over the largest per-trial array, the
+single-particle stack cubes * n * side^(2d) or the sums cubes * side^(nd).
 """
 
 import math
@@ -40,13 +50,18 @@ from .tensor import SumsetAssembly
 
 _WILSON_Z = 1.96
 _TOLERANCE = 1e-10
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _interval_dists(ev: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """dist(lambda, [lo, hi]) for every entry of ``ev``."""
+    return np.maximum(np.maximum(lo - ev, ev - hi), 0.0)
 
 
 def interval_dist(spec: Spectrum, interval: tuple[float, float]) -> float:
     """min over eigenvalues of dist(lambda, [lo, hi])."""
     lo, hi = interval
-    ev = spec.eigenvalues
-    return float(np.min(np.maximum.reduce([lo - ev, ev - hi, np.zeros_like(ev)])))
+    return float(np.min(_interval_dists(spec.eigenvalues, lo, hi)))
 
 
 def fixed_energy_event(spec: Spectrum, energy: float, eps: float) -> bool:
@@ -84,6 +99,44 @@ def two_volume_event(spec_x: Spectrum, spec_y: Spectrum, interval, eps: float) -
     first = np.searchsorted(y + eps, x - eps, side="left")
     stop = np.searchsorted(y - eps, x + eps, side="right")
     return bool(np.any(first < stop))
+
+
+def _searchsorted_rows(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """np.searchsorted(a[i], v[i], side="right") for every leading index i.
+
+    Both arrays are sorted along the last axis.  One stable argsort merges
+    each row of ``a`` with the row of ``v``; the count of ``a`` entries up
+    to each ``v`` entry is its insertion point, and the ``v`` entries keep
+    their order in the merge because the row is sorted.
+    """
+    order = np.argsort(np.concatenate([a, v], axis=-1), axis=-1, kind="stable")
+    from_a = order < a.shape[-1]
+    return np.cumsum(from_a, axis=-1)[~from_a].reshape(v.shape)
+
+
+def two_volume_margin(x: np.ndarray, y: np.ndarray, interval) -> np.ndarray:
+    """min over pairs of m(x, y) = max(|x - y|/2, dist(x, W), dist(y, W)).
+
+    ``x`` and ``y`` are (..., N) and (..., M) arrays sorted along the last
+    axis, with equal leading shapes; one margin per leading index.  Some E
+    in W = [lo, hi] lies within eps of both x and y iff m(x, y) <= eps: in
+    1D three intervals meet iff each two of them meet (Helly).  For fixed
+    x, m(x, .) is convex and piecewise linear with its minimum at y*(x):
+    x on W, (x + 2lo)/3 below lo, (x + 2hi)/3 above hi.  y* is
+    non-decreasing in x, so one merge of the sorted y* into y finds each
+    x's two sorted neighbours of y*, and the nearer of them minimises
+    m(x, .) over the y.
+    """
+    lo, hi = interval
+    dx = _interval_dists(x, lo, hi)
+    ystar = np.where(x < lo, (x + 2.0 * lo) / 3.0, np.where(x > hi, (x + 2.0 * hi) / 3.0, x))
+    upper = _searchsorted_rows(y, ystar)
+    best = np.full(x.shape, np.inf)
+    for j in (upper - 1, upper):
+        yj = np.take_along_axis(y, np.clip(j, 0, y.shape[-1] - 1), axis=-1)
+        pair = np.maximum(np.maximum(np.abs(x - yj) / 2.0, dx), _interval_dists(yj, lo, hi))
+        best = np.minimum(best, pair)
+    return best.min(axis=-1)
 
 
 def h_star(u_norm: float, sigma: float, L0: int, beta: float) -> float:
@@ -207,13 +260,15 @@ class PreparedQuery(NamedTuple):
     points and ``assemblies`` holds one CubeAssembly per cube.  ``sumset``
     solves the single-particle operators of every cube (None for n = 1),
     and ``margin`` bounds how far a sumset eigenvalue and the rank-matched
-    dense eigenvalue of the same cube can lie apart.
+    dense eigenvalue of the same cube can lie apart.  ``block`` is the
+    number of trials a campaign decides at once.
     """
 
     points: np.ndarray
     assemblies: tuple[CubeAssembly, ...]
     sumset: SumsetAssembly | None
     margin: float
+    block: int
 
 
 @dataclass(frozen=True)
@@ -261,7 +316,9 @@ class EventQuery:
         points.flags.writeable = False
         assemblies = tuple(CubeAssembly.of(c, self.interaction, self.h) for c in cubes)
         sumset = SumsetAssembly.of(self.d, self.L) if self.n >= 2 else None
-        return PreparedQuery(points, assemblies, sumset, _margin(self, assemblies))
+        cubes, n, m = points.shape[:3]
+        block = max(1, _BLOCK_ELEMENTS // (cubes * max(n * m * m, m**n)))
+        return PreparedQuery(points, assemblies, sumset, _margin(self, assemblies), block)
 
 
 def _diagonal_bound(query: EventQuery) -> float:
@@ -348,55 +405,91 @@ def validate_query(query: EventQuery) -> list[str]:
     return problems
 
 
-def _decide(query: EventQuery, spectra, eps: float) -> bool:
-    """The query's event on the cubes' spectra, at closeness ``eps``."""
+def _decide(query: EventQuery, spectra) -> bool:
+    """The query's event on the cubes' spectra, by the closed comparisons."""
     if query.kind == "fixed":
-        return fixed_energy_event(spectra[0], query.energy, eps)
+        return fixed_energy_event(spectra[0], query.energy, query.eps)
     if query.kind == "variable":
-        return variable_energy_event(spectra[0], query.window, eps)
-    return two_volume_event(spectra[0], spectra[1], query.window, eps)
+        return variable_energy_event(spectra[0], query.window, query.eps)
+    return two_volume_event(spectra[0], spectra[1], query.window, query.eps)
 
 
-def evaluate_event(query: EventQuery, seed: int, trial: int) -> bool:
-    """Sample one field realization and decide the event exactly.
+def _sums_margin(query: EventQuery, sums: np.ndarray, bound: float) -> np.ndarray:
+    """Each trial's margin on its (cubes, N) sorted sums, exact up to ``bound``.
 
-    One draw at the prepared particle points gives every cube its
-    (n, side^d) potentials; cubes that share a lattice point read the same
-    value, since the value is a pure function of (seed, trial, point).
+    The margin is the smallest closeness at which the event holds:
+    interval_dist for the fixed and variable kinds, two_volume_margin for
+    the two-volume kind.  The latter is at least max(min dist(x, W),
+    min dist(y, W)); a trial whose lower bound exceeds ``bound`` keeps it,
+    since the event fails at every closeness up to ``bound`` either way.
+    """
+    window = (query.energy, query.energy) if query.kind == "fixed" else query.window
+    margin = np.min(_interval_dists(sums, *window), axis=-1).max(axis=-1)
+    if query.kind == "two_volume":
+        near = margin <= bound
+        if near.any():
+            margin[near] = two_volume_margin(sums[near, 0], sums[near, 1], window)
+    return margin
 
-    For n >= 2 the event is first decided on the sumset spectra.  Each
-    dense eigenvalue lies within the prepared margin mu of the rank-matched
-    sumset eigenvalue, so an event that fails on the sums at eps + mu fails
-    on the dense spectra at eps, and one that holds at eps - mu holds there.
-    Otherwise the dense spectra of the same potentials decide.  Either way
-    the decision is the dense one.
+
+def decide(query: EventQuery, potentials: np.ndarray) -> np.ndarray:
+    """The event on each trial of a block, one bool per trial.
+
+    ``potentials`` is the (trials, cubes, n, side^d) array ``draw_values``
+    gives at the prepared points.  For n >= 2 every dense eigenvalue lies
+    within the prepared margin mu of the rank-matched sumset eigenvalue,
+    and each margin moves by at most mu with them, so a trial whose sums
+    margin exceeds eps + mu fails on the dense spectra at eps and one
+    whose margin is at most eps - mu holds there.  Every other trial, and
+    every n = 1 trial, is decided on the dense spectra of its potentials.
+    Either way the decision is the dense one.
     """
     prepared = query.prepared
-    potentials = draw_values(query.distribution, prepared.points, seed, trial)
+    decisions = np.zeros(len(potentials), dtype=bool)
+    dense = np.ones(len(potentials), dtype=bool)
     if prepared.sumset is not None:
-        sums = prepared.sumset.spectra(potentials)
-        if not _decide(query, sums, query.eps + prepared.margin):
-            return False
-        if _decide(query, sums, query.eps - prepared.margin):
-            return True
-    spectra = [
-        full_spectrum(assembly.matrix(v)) for assembly, v in zip(prepared.assemblies, potentials)
-    ]
-    return _decide(query, spectra, query.eps)
+        upper = query.eps + prepared.margin
+        margin = _sums_margin(query, prepared.sumset.spectra(potentials), upper)
+        decisions = margin <= query.eps - prepared.margin
+        dense = ~decisions & (margin <= upper)
+    for t in np.flatnonzero(dense):
+        spectra = [
+            full_spectrum(assembly.matrix(v))
+            for assembly, v in zip(prepared.assemblies, potentials[t])
+        ]
+        decisions[t] = _decide(query, spectra)
+    return decisions
+
+
+def evaluate_event(query: EventQuery, seed: int, trial: int, count: int = 1) -> int:
+    """The number of successes among trials trial, ..., trial + count - 1.
+
+    One draw at the prepared particle points gives every cube of every
+    trial its (n, side^d) potentials; cubes that share a lattice point read
+    the same value, since the value is a pure function of (seed, trial,
+    point).  ``decide`` then decides the whole block.
+    """
+    trials = np.arange(trial, trial + count)
+    potentials = draw_values(query.distribution, query.prepared.points, seed, trials)
+    return int(np.count_nonzero(decide(query, potentials)))
 
 
 def mc_estimate(query: EventQuery, trials: int, seed: int) -> MCResult:
     """Estimate the event probability over counter-based trials.
 
     Trial t uses the field keyed by (seed, t), so the success count is a
-    pure function of (query, trials, seed).
+    pure function of (query, trials, seed).  The trials are decided in
+    blocks of the prepared block size, one evaluate_event call per block.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     problems = validate_query(query)
     if problems:
         raise DistributionError("invalid event query: " + "; ".join(problems))
-    successes = sum(evaluate_event(query, seed, t) for t in range(trials))
+    block = query.prepared.block
+    successes = sum(
+        evaluate_event(query, seed, t, min(block, trials - t)) for t in range(0, trials, block)
+    )
     p_hat = successes / trials
     return MCResult(
         trials=trials,

@@ -372,6 +372,27 @@ def test_dump_matrix_round_trip(tmp_path):
     assert out.read_bytes() == again.read_bytes()
 
 
+def test_dump_matrix_trial_is_a_64_bit_word(tmp_path):
+    # -2^63 and 2^63 are the same word, so the same field; a trial outside
+    # 64 bits is a usage error, not a traceback
+    runner = CliRunner()
+    config = write_config(tmp_path, make_config())
+    dumps = []
+    for trial in (-(2**63), 2**63, 2**64 - 1):
+        out = tmp_path / f"m{len(dumps)}.txt"
+        args = ["dump-matrix", "--config", str(config), "--out", str(out), "--trial", str(trial)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        dumps.append(out.read_bytes())
+    assert dumps[0] == dumps[1] != dumps[2]
+    out = tmp_path / "huge.txt"
+    args = ["dump-matrix", "--config", str(config), "--out", str(out), "--trial", str(2**64)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "--trial" in result.output and "Traceback" not in result.output
+    assert not out.exists()
+
+
 def test_run_rejects_over_capacity_lengths_before_sampling(tmp_path):
     # n=2, d=2: L=2 gives dim 625, L=5 dim 14641 and L=6 dim 28561
     doc = make_config(**{"model.n": 2, "model.d": 2, "model.L_list": [2, 5, 6], "run.trials": 5})

@@ -185,3 +185,34 @@ def test_scalar_prefix_matches_vector_chain():
                 h = randomfield._mix64(h ^ w)
             u = (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
             assert np.array_equal(hash_uniform01(seed, trial, words), u)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DistributionSpec.bernoulli(0.3, -1.0, 2.0),
+        DistributionSpec.uniform(-1.0, 3.0),
+        DistributionSpec.finite([-1.0, 0.5, 2.0], [0.25, 0.5, 0.25]),
+    ],
+    ids=["bernoulli", "uniform", "finite"],
+)
+def test_trial_block_draw_is_bitwise_the_per_trial_draws(spec):
+    # a block of trials is drawn in one call; each trial's slice must be
+    # bit for bit its own draw, for any trial indices in any order
+    top = 2**63 - 1
+    points = np.array([[-4, 0], [0, 0], [3, -2], [10**9, 5], [-3, 7], [2, 2]]).reshape(2, 3, 2)
+    blocks = [
+        np.arange(5),
+        np.array([17, 3, 3, 40000, 0, -9]),
+        np.array([top, top - 1, top - 7, 0]),
+        np.arange(12)[::3],
+        np.array([[5, 9], [top, 1]]),
+    ]
+    for seed in (0, 2**64 - 1, 123456789123):
+        for trials in blocks:
+            block = draw_values(spec, points, seed, trials)
+            assert block.shape == trials.shape + points.shape[:-1]
+            for index, trial in np.ndenumerate(trials):
+                assert np.array_equal(block[index], draw_values(spec, points, seed, int(trial)))
+        assert draw_values(spec, points, seed, np.array(7)).shape == (2, 3)
+        assert draw_values(spec, points, seed, np.arange(0)).shape == (0, 2, 3)

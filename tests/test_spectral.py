@@ -17,7 +17,7 @@ from wegnerlab.spectral import (
     resolvent_norm,
     smallest_singular_value,
 )
-from wegnerlab.tensor import sumset_spectrum
+from wegnerlab.tensor import sorted_sums
 
 
 def diag_matrix(*values):
@@ -154,7 +154,7 @@ def test_two_particle_distances_match_sumset():
         full_spectrum(build_hamiltonian(cube.particle_cube(i), potentials[i : i + 1], none, 0.0))
         for i in range(2)
     ]
-    sums = sumset_spectrum(singles).sums
+    sums = sorted_sums([single.eigenvalues for single in singles])
     gaps = np.flatnonzero(np.diff(sums) > 1e-6)
     for i in gaps[[0, gaps.size // 2, -1]]:
         energy = 0.5 * (sums[i] + sums[i + 1])

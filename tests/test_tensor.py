@@ -3,40 +3,31 @@ import pytest
 
 from wegnerlab.hamiltonian import InteractionSpec, build_hamiltonian
 from wegnerlab.lattice import Cube, Site
-from wegnerlab.randomfield import DistributionSpec, sample_field
-from wegnerlab.spectral import Spectrum, full_spectrum
-from wegnerlab.tensor import sumset_spectrum, verify_decomposition
-
-
-def spectrum_of(*values):
-    return Spectrum(eigenvalues=np.asarray(sorted(values), dtype=float), dim=len(values))
+from wegnerlab.randomfield import DistributionSpec, draw_values, sample_field
+from wegnerlab.spectral import full_spectrum
+from wegnerlab.tensor import SumsetAssembly, sorted_sums, verify_decomposition
 
 
 def test_sumset_basic():
-    s = sumset_spectrum([spectrum_of(0.0, 1.0), spectrum_of(0.0, 10.0)])
-    assert np.array_equal(s.sums, [0.0, 1.0, 10.0, 11.0])
+    s = sorted_sums([[0.0, 1.0], [0.0, 10.0]])
+    assert np.array_equal(s, [0.0, 1.0, 10.0, 11.0])
 
 
 def test_sumset_single_spectrum_is_identity():
-    base = spectrum_of(0.5, 1.5, 2.5)
-    s = sumset_spectrum([base])
-    assert np.array_equal(s.sums, base.eigenvalues)
+    base = np.array([0.5, 1.5, 2.5])
+    s = sorted_sums([base])
+    assert np.array_equal(s, base)
 
 
 def test_sumset_three_singletons():
-    s = sumset_spectrum([spectrum_of(1.0), spectrum_of(2.0), spectrum_of(4.0)])
-    assert np.array_equal(s.sums, [7.0])
-
-
-def test_sumset_empty_rejected():
-    with pytest.raises(ValueError):
-        sumset_spectrum([])
+    s = sorted_sums([[1.0], [2.0], [4.0]])
+    assert np.array_equal(s, [7.0])
 
 
 def test_sumset_keeps_duplicates():
-    s = sumset_spectrum([spectrum_of(0.0, 1.0), spectrum_of(0.0, 1.0)])
-    assert np.array_equal(s.sums, [0.0, 1.0, 1.0, 2.0])
-    assert np.min(s.sums) == 0.0 and np.max(s.sums) == 2.0
+    s = sorted_sums([[0.0, 1.0], [0.0, 1.0]])
+    assert np.array_equal(s, [0.0, 1.0, 1.0, 2.0])
+    assert np.min(s) == 0.0 and np.max(s) == 2.0
 
 
 def test_decomposition_point_cube():
@@ -84,10 +75,10 @@ def test_sumset_count():
         full_spectrum(build_hamiltonian(cube.particle_cube(i), potentials[i : i + 1], none, 0.0))
         for i in range(2)
     ]
-    s = sumset_spectrum(singles)
-    assert s.sums.size == (2 * 2 + 1) ** 2 == cube.site_count
-    assert np.min(s.sums) == singles[0].eigenvalues[0] + singles[1].eigenvalues[0]
-    assert np.max(s.sums) == singles[0].eigenvalues[-1] + singles[1].eigenvalues[-1]
+    s = sorted_sums([single.eigenvalues for single in singles])
+    assert s.size == (2 * 2 + 1) ** 2 == cube.site_count
+    assert np.min(s) == singles[0].eigenvalues[0] + singles[1].eigenvalues[0]
+    assert np.max(s) == singles[0].eigenvalues[-1] + singles[1].eigenvalues[-1]
 
 
 def test_shift_covariance():
@@ -104,7 +95,7 @@ def test_shift_covariance():
             full_spectrum(build_hamiltonian(cube.particle_cube(i), v[None], none, 0.0))
             for i, v in enumerate(potentials)
         ]
-        return sumset_spectrum(singles).sums
+        return sorted_sums([single.eigenvalues for single in singles])
 
     assert np.allclose(sums(shifted), sums(base) + 2 * 0.25, atol=1e-10)
 
@@ -120,7 +111,7 @@ def test_flipped_hopping_breaks_decomposition():
         full_spectrum(build_hamiltonian(cube.particle_cube(i), potentials[i : i + 1], none, 0.0))
         for i in range(2)
     ]
-    good = sumset_spectrum(singles).sums
+    good = sorted_sums([single.eigenvalues for single in singles])
     broken = build_hamiltonian(cube, potentials, none, 0.0).dense()
     broken[0, 1] = broken[1, 0] = +1.0
     ev = np.linalg.eigvalsh(broken)
@@ -133,3 +124,28 @@ def test_decomposition_two_particles_two_dimensions():
         DistributionSpec.uniform(0.0, 2.0), cube.particle_points(), 37, 0
     )
     assert verify_decomposition(cube, potentials) <= 1e-9
+
+
+def test_sumset_block_is_bitwise_the_per_cube_spectra():
+    # a (trials, cubes, n, m) block gives each cube the sorted sums of its
+    # own single-particle solves, bit for bit, and nothing else
+    for d, L, n in ((1, 2, 2), (2, 1, 2), (1, 1, 3)):
+        assembly = SumsetAssembly.of(d, L)
+        cube = Cube(Site(n, d, (0,) * (n * d)), L)
+        points = np.stack([cube.particle_points()] * 2)
+        trials = np.arange(7)
+        block = draw_values(DistributionSpec.uniform(0.0, 2.0), points, 3, trials)
+        sums = assembly.spectra(block)
+        assert sums.shape == (7, 2, cube.site_count)
+        assert np.all(np.diff(sums, axis=-1) >= 0)
+        none = InteractionSpec.none()
+        for t, c in np.ndindex(7, 2):
+            v = block[t, c]
+            singles = [
+                np.linalg.eigvalsh(
+                    build_hamiltonian(cube.particle_cube(i), v[i : i + 1], none, 0.0).dense()
+                )
+                for i in range(n)
+            ]
+            assert np.array_equal(sums[t, c], sorted_sums(singles))
+            assert np.array_equal(sums[t, c], assembly.spectra(v))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import wegnerlab.verify as verify
 import wegnerlab.wegner as wegner
 from wegnerlab.errors import DistributionError
 from wegnerlab.hamiltonian import InteractionSpec, SymMatrix
@@ -20,6 +21,7 @@ from wegnerlab.wegner import (
     mc_estimate,
     perturbation_check,
     two_volume_event,
+    two_volume_margin,
     validate_query,
     variable_energy_event,
     wilson_interval,
@@ -68,6 +70,65 @@ def test_events_match_dyadic_brute_force():
         assert two_volume_event(sx, sy, window, eps) == brute
         ties += bool(np.any(np.abs(sx.eigenvalues[:, None] - sy.eigenvalues) == 2 * eps))
     assert ties > 0
+
+
+def _brute_two_volume_margin(x, y, window):
+    """min over all pairs of max(|x - y|/2, dist(x, W), dist(y, W)), O(NM)."""
+    lo, hi = window
+    xs, ys = x[..., :, None], y[..., None, :]
+    dist_x = np.maximum(np.maximum(lo - xs, xs - hi), 0.0)
+    dist_y = np.maximum(np.maximum(lo - ys, ys - hi), 0.0)
+    pairs = np.maximum(np.maximum(np.abs(xs - ys) / 2.0, dist_x), dist_y)
+    return pairs.min(axis=(-2, -1))
+
+
+def test_two_volume_margin_matches_brute_force():
+    # 2.4 * 10^4 instances in batches sharing a window: random floats, and
+    # dyadic values whose margins are exact floats with frequent exact ties
+    rng = np.random.default_rng(47)
+    checked = ties = 0
+    for batch in range(480):
+        n_x, n_y = (int(k) for k in rng.integers(1, 30, 2))
+        if batch % 2:
+            x = np.sort(rng.integers(0, 1281, (50, n_x)) / 64.0, axis=-1)
+            y = np.sort(rng.integers(0, 1281, (50, n_y)) / 64.0, axis=-1)
+            lo = float(rng.integers(0, 1281)) / 64.0
+            window = (lo, lo + float(rng.integers(0, 129)) / 64.0)
+        else:
+            x = np.sort(rng.uniform(-5.0, 25.0, (50, n_x)), axis=-1)
+            y = np.sort(rng.uniform(-5.0, 25.0, (50, n_y)), axis=-1)
+            window = tuple(sorted(rng.uniform(0.0, 20.0, 2)))
+        brute = _brute_two_volume_margin(x, y, window)
+        assert np.array_equal(two_volume_margin(x, y, window), brute), batch
+        checked += len(x)
+        if batch % 2:
+            ties += int(np.count_nonzero(np.isin(brute, [0.25, 0.125, 0.0625])))
+    assert checked >= 10**4
+    assert ties > 0
+
+
+def test_two_volume_margin_decides_the_events_suite_instances():
+    # the events suite's dyadic instances, boundary band included: the
+    # margin is the suite's exact margin, and margin <= eps is the event
+    rng = np.random.default_rng(20260804)
+    at_boundary = 0
+    for k in range(3000):
+        eps = (0.25, 0.125, 0.0625)[k % 3]
+        sx, sy = verify._dyadic_spectrum(rng), verify._dyadic_spectrum(rng)
+        window = verify._dyadic_window(rng, eps)
+        margin = float(two_volume_margin(sx.eigenvalues, sy.eigenvalues, window))
+        assert margin == verify._two_volume_margin(sx, sy, window)
+        for e in (0.25, 0.125, 0.0625, margin):
+            assert (margin <= e) == two_volume_event(sx, sy, window, e), (k, e)
+        at_boundary += margin == eps
+    assert at_boundary > 0
+    # the examples of test_two_volume_examples
+    assert two_volume_margin(np.array([4.0]), np.array([6.0]), (0.0, 10.0)) == 1.0
+    assert two_volume_margin(np.array([6.0]), np.array([4.0]), (5.0, 5.0)) == 1.0
+    x, y = np.array([3.0, 9.0]), np.array([-4.0, 3.5])
+    assert two_volume_margin(x, y, (3.5, 5.0)) == 0.5
+    assert two_volume_margin(x, y, (1.0, 3.0)) == 0.5
+    assert two_volume_margin(x, y, (3.515625, 5.0)) == 0.515625
 
 
 def test_variable_event_examples():
@@ -493,7 +554,7 @@ def test_prepared_trial_matches_reference_composition(monkeypatch, name):
         drawn.clear()
         decision, matrices = _reference_trial(query, 23, trial)
         assert evaluate_event(query, 23, trial) == decision
-        (potentials,) = drawn
+        ((potentials,),) = drawn
         assert len(potentials) == len(matrices)
         for assembly, v, want in zip(query.prepared.assemblies, potentials, matrices):
             got = assembly.matrix(v)
@@ -692,3 +753,41 @@ def test_one_particle_queries_never_build_a_sumset_assembly(monkeypatch):
         for trial in range(10):
             evaluate_event(query, 5, trial)
         assert query.prepared.sumset is None
+
+
+@pytest.mark.parametrize("name", sorted(_ROUTE_QUERIES))
+def test_trial_blocks_decide_as_single_trials(monkeypatch, name):
+    # A block's count is the sum of its single-trial counts, and it sends
+    # the same trials, in the same order, to the dense fallback: the dense
+    # solves see the same matrices.  mc_estimate cuts its trials into
+    # blocks of the prepared size; one below, at and one above that size,
+    # and any other split of the range, give the same count.
+    query, trials = _ROUTE_QUERIES[name]
+    block = query.prepared.block
+    solved = []
+
+    def recording(matrix):
+        solved.append(matrix.diag.tobytes())
+        return full_spectrum(matrix)
+
+    monkeypatch.setattr(wegner, "full_spectrum", recording)
+    singles, single_solves = [], []
+    for trial in range(max(trials, block + 1)):
+        solved.clear()
+        singles.append(evaluate_event(query, 37, trial))
+        single_solves.append(list(solved))
+    assert set(singles) <= {0, 1}
+    counts = np.concatenate([[0], np.cumsum(singles)])
+
+    solved.clear()
+    assert evaluate_event(query, 37, 0, trials) == counts[trials]
+    assert solved == [m for per_trial in single_solves[:trials] for m in per_trial]
+    for total in (block - 1, block, block + 1):
+        if total >= 1:
+            assert mc_estimate(query, total, 37).successes == counts[total], total
+    rng = np.random.default_rng(len(name))
+    for _ in range(3):
+        cuts = np.unique(np.concatenate([[0, trials], rng.integers(0, trials, 6)]))
+        split = sum(evaluate_event(query, 37, a, b - a) for a, b in zip(cuts[:-1], cuts[1:]))
+        assert split == counts[trials]
+    assert evaluate_event(query, 37, 5, 0) == 0

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .hamiltonian import InteractionSpec
 from .randomfield import DistributionSpec, derive_seed, validate
+from .transfer import STEPS_LIMIT
 from .wegner import EventQuery, delta0
 
 SCHEMA_VERSION = 1
@@ -21,6 +22,9 @@ SCHEMA_VERSION = 1
 EVENT_KINDS = ("fixed", "variable", "two_volume")
 
 _INT64_MAX = (1 << 63) - 1
+
+# The sweep holds one energy and one estimate per point in memory.
+SWEEP_POINTS_LIMIT = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -264,8 +268,15 @@ def validate_sweep(sweep: SweepConfig) -> list[str]:
     problems = []
     if sweep.points < 1:
         problems.append("sweep.points must be >= 1")
+    if sweep.points > SWEEP_POINTS_LIMIT:
+        problems.append(f"sweep.points must be <= {SWEEP_POINTS_LIMIT}")
     if sweep.steps < 1000:
         problems.append("sweep.steps must be >= 1000")
+    if sweep.steps > STEPS_LIMIT:
+        problems.append(
+            f"sweep.steps must be <= {STEPS_LIMIT}, which keeps each energy's "
+            "log-norm array at 1 GiB"
+        )
     if sweep.e_min > sweep.e_max:
         problems.append("sweep.e_min must not exceed sweep.e_max")
     return problems

@@ -250,13 +250,18 @@ def build_hamiltonian(
     configuration x is 2nd + sum_j V(x_j) + h*U(x); the off-diagonal entry
     is exactly -1 between cube sites at l1 distance 1, and 0 elsewhere.
     """
+    return CubeAssembly.of(cube, inter, h).matrix(potential_array(cube, potentials))
+
+
+def potential_array(cube: Cube, potentials) -> np.ndarray:
+    """``potentials`` as a float array, checked to have shape (n, side^d)."""
     potentials = np.asarray(potentials, dtype=np.float64)
     expected = (cube.center.n, cube.side**cube.center.d)
     if potentials.shape != expected:
         raise ValueError(
             f"potentials must have shape (n, side^d) = {expected}, got {potentials.shape}"
         )
-    return CubeAssembly.of(cube, inter, h).matrix(potentials)
+    return potentials
 
 
 def write_matrix_dump(matrix: SymMatrix, stream):

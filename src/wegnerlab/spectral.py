@@ -5,14 +5,15 @@ Eigenvalue counts and distance-to-spectrum queries take the eigenvalues of
 the matrix in its lexicographic band form (LAPACK symmetric band
 reduction) at every size.  Resolvent norms use 1/dist, which is exact for
 self-adjoint operators; an independent smallest-singular-value check is
-exposed alongside.
+exposed alongside.  Those band and SVD oracles are the only users of
+scipy, which they import on first call, so a campaign or a matrix dump
+never loads it.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CapacityError
 from .hamiltonian import SymMatrix
@@ -59,6 +60,8 @@ def full_spectrum(a: SymMatrix) -> Spectrum:
 
 def _banded_eigenvalues(a: SymMatrix) -> np.ndarray:
     """All eigenvalues, ascending, from LAPACK on the band storage."""
+    import scipy.linalg
+
     return scipy.linalg.eigvals_banded(a.banded())
 
 
@@ -86,5 +89,7 @@ def smallest_singular_value(a: SymMatrix, energy: float) -> float:
     """Smallest singular value of A - E*I, by dense SVD."""
     if a.dim > DENSE_LIMIT:
         raise CapacityError(f"dim {a.dim} exceeds the dense SVD limit {DENSE_LIMIT}")
+    import scipy.linalg
+
     shifted = a.dense() - energy * np.eye(a.dim)
     return float(scipy.linalg.svdvals(shifted)[-1])

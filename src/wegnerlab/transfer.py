@@ -5,6 +5,11 @@ psi(x-1) propagates through the unit-determinant matrix
 [[2 + v - E, -1], [1, 0]].  The top Lyapunov exponent is estimated from the
 norm growth of a single vector, renormalized after every multiplication;
 only the leading exponent is needed so no QR of products is involved.
+
+The recursion streams its potentials: it draws them _CHUNK steps at a
+time, so memory is the log-norm array of 8 bytes per step plus one chunk.
+The draw at step k is the hash of (seed, trial, k) and does not depend on
+the chunking.  STEPS_LIMIT keeps the log-norm array at 1 GiB.
 """
 
 import math
@@ -13,6 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .randomfield import DistributionSpec, draw_values
+
+_CHUNK = 1 << 16
+STEPS_LIMIT = 1 << 27
 
 
 def transfer_matrix(energy: float, v: float) -> np.ndarray:
@@ -46,21 +54,27 @@ def lyapunov(
     """
     if steps < 1000:
         raise ValueError(f"steps must be >= 1000, got {steps}")
+    if steps > STEPS_LIMIT:
+        raise ValueError(f"steps must be <= {STEPS_LIMIT}, got {steps}")
     if batches < 2:
         raise ValueError(f"batches must be >= 2, got {batches}")
-    draws = draw_values(
-        spec, np.arange(steps, dtype=np.int64).reshape(-1, 1), seed, trial
-    ).tolist()
+    if batches > steps:
+        raise ValueError(f"batches must not exceed steps, got {batches} > {steps}")
     logs = np.empty(steps)
     shift = 2.0 - energy
+    hypot = math.hypot
     a, b = 1.0, 0.0
-    for k, v in enumerate(draws):
-        na = (shift + v) * a - b
-        nb = a
-        norm = math.hypot(na, nb)
-        logs[k] = math.log(norm)
-        a = na / norm
-        b = nb / norm
+    for start in range(0, steps, _CHUNK):
+        stop = min(start + _CHUNK, steps)
+        points = np.arange(start, stop, dtype=np.int64).reshape(-1, 1)
+        coefficients = (shift + draw_values(spec, points, seed, trial)).tolist()
+        norms = []
+        for c in coefficients:
+            na = c * a - b
+            norm = hypot(na, a)
+            norms.append(norm)
+            a, b = na / norm, a / norm
+        logs[start:stop] = list(map(math.log, norms))
     gamma = float(np.mean(logs))
     block = steps // batches
     means = logs[: batches * block].reshape(batches, block).mean(axis=1)

@@ -8,12 +8,14 @@ closed forms), and reports the worst deviation seen.  Default parameters
 match the bundled acceptance tests.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import InteractionSpec, build_hamiltonian
+from .hamiltonian import CubeAssembly, InteractionSpec, build_hamiltonian
 from .lattice import Cube, Site
 from .randomfield import DistributionSpec, derive_seed, hash_uniform01, sample_field
 from .spectral import (
@@ -254,12 +256,12 @@ def perturbation_suite(instances: int = 1000, seed: int = 20260805) -> SuiteResu
     points = cube.particle_points()
     dist = DistributionSpec.bernoulli(0.5, 0.0, 1.0)
     bound = h_star(1.0, sigma, L0, beta)
+    free = CubeAssembly.of(cube, inter, 0.0)
     violations = 0
     skipped = 0
     for t in range(instances):
         potentials = sample_field(dist, points, seed, t)
-        h_free = build_hamiltonian(cube, potentials, inter, 0.0)
-        lo, hi = gershgorin_interval(h_free)
+        lo, hi = gershgorin_interval(free.matrix(potentials))
         u = float(hash_uniform01(seed, t, [[0x45]])[0])
         energy = lo + u * (hi - lo)
         h = 0.9 * bound * (1 if t % 2 == 0 else -1)

@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import wegnerlab
+from wegnerlab import cli
 from wegnerlab.cli import main
 from wegnerlab.config import (
     ConfigError,
@@ -536,14 +537,29 @@ def test_lyapunov_sweep_requires_d1(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "sweep",
+    "sweep, message",
     [
-        {"e_min": 1.0, "e_max": 3.0, "points": 3, "steps": 500},
-        {"e_min": 1.0, "e_max": 3.0, "points": 0, "steps": 2000},
+        ({"e_min": 1.0, "e_max": 3.0, "points": 3, "steps": 500}, "sweep.steps must be >= 1000"),
+        ({"e_min": 1.0, "e_max": 3.0, "points": 0, "steps": 2000}, "sweep.points must be >= 1"),
+        (
+            {"e_min": 1.0, "e_max": 3.0, "points": 3, "steps": 10**15},
+            "sweep.steps must be <= 134217728",
+        ),
+        (
+            {"e_min": 1.0, "e_max": 3.0, "points": 10**15, "steps": 2000},
+            "sweep.points must be <= 1048576",
+        ),
     ],
-    ids=["steps", "points"],
+    ids=["steps", "points", "steps_over_capacity", "points_over_capacity"],
 )
-def test_lyapunov_sweep_checks_section_before_writing(tmp_path, sweep):
+def test_lyapunov_sweep_checks_section_before_writing(tmp_path, monkeypatch, sweep, message):
+    # Without the caps, 10**15 steps or energies would be allocated at once
+    # (np.arange, np.linspace): fail loudly if the sweep gets that far.
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the sweep started sampling")
+
+    monkeypatch.setattr(cli.np, "linspace", no_sampling)
+    monkeypatch.setattr(cli.transfer, "lyapunov_sweep", no_sampling)
     # the degenerate distribution stays allowed: only the sweep section is at fault
     doc = make_config(**{"model.distribution": {"kind": "bernoulli", "p": 1.0}})
     doc["sweep"] = sweep
@@ -552,7 +568,41 @@ def test_lyapunov_sweep_checks_section_before_writing(tmp_path, sweep):
     result = CliRunner().invoke(
         main, ["lyapunov-sweep", "--config", str(config), "--out", str(out)]
     )
-    assert result.exit_code != 0
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # a violation report, not a raw error
     assert "config violation" in result.output
+    assert message in result.output
     assert "single-point support" not in result.output
     assert not out.exists()
+
+
+def test_commands_never_load_scipy_or_numpy_random(tmp_path):
+    # a fresh process: pytest itself has already imported both modules
+    doc = make_config()
+    doc["sweep"] = {"e_min": 1.0, "e_max": 3.0, "points": 2, "steps": 2000}
+    sweep_config = write_config(tmp_path, doc)
+    commands = [
+        ["run", "--config", str(REPO / "configs" / "two_volume_edge.json"),
+         "--out", str(tmp_path / "run.csv")],
+        ["dump-matrix", "--config", str(REPO / "configs" / "fixed_band_center.json"),
+         "--out", str(tmp_path / "matrix.txt"), "--length", "3"],
+        ["lyapunov-sweep", "--config", str(sweep_config), "--out", str(tmp_path / "sweep.csv")],
+    ]
+    script = (
+        "import json, sys\n"
+        "from wegnerlab.cli import main\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    main.main(args=args, prog_name='wegnerlab', standalone_mode=False)\n"
+        "print(json.dumps([m for m in ('scipy', 'numpy.random') if m in sys.modules]))\n"
+    )
+    src = str(Path(wegnerlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    for name in ("run.csv", "matrix.txt", "sweep.csv"):
+        assert (tmp_path / name).stat().st_size > 0

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from wegnerlab.randomfield import DistributionSpec
+from wegnerlab import transfer
+from wegnerlab.randomfield import DistributionSpec, draw_values
 from wegnerlab.transfer import LyapunovEstimate, lyapunov, lyapunov_sweep, transfer_matrix
 
 FREE = DistributionSpec.point_mass(0.0)
@@ -33,6 +34,57 @@ def test_determinant_is_one_exactly():
 def test_lyapunov_requires_enough_steps():
     with pytest.raises(ValueError):
         lyapunov(2.0, FREE, steps=100, seed=0)
+
+
+def test_lyapunov_rejects_more_batches_than_steps():
+    with pytest.raises(ValueError, match="batches"):
+        lyapunov(2.0, FREE, steps=1000, seed=0, batches=2000)
+    assert lyapunov(2.0, FREE, steps=1000, seed=0, batches=1000).stderr >= 0.0
+
+
+def test_lyapunov_rejects_steps_above_the_limit(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the recursion started")
+
+    monkeypatch.setattr(transfer, "draw_values", no_sampling)
+    with pytest.raises(ValueError, match="steps"):
+        lyapunov(2.0, FREE, steps=transfer.STEPS_LIMIT + 1, seed=0)
+
+
+def _per_step_lyapunov(energy, spec, steps, seed, trial, batches):
+    """The unchunked recursion: every draw at once, one step at a time."""
+    draws = draw_values(spec, np.arange(steps, dtype=np.int64).reshape(-1, 1), seed, trial)
+    logs = np.empty(steps)
+    shift = 2.0 - energy
+    a, b = 1.0, 0.0
+    for k, v in enumerate(draws.tolist()):
+        na = (shift + v) * a - b
+        nb = a
+        norm = math.hypot(na, nb)
+        logs[k] = math.log(norm)
+        a = na / norm
+        b = nb / norm
+    block = steps // batches
+    means = logs[: batches * block].reshape(batches, block).mean(axis=1)
+    return float(np.mean(logs)), float(np.std(means, ddof=1) / math.sqrt(batches))
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [1000, transfer._CHUNK - 1, transfer._CHUNK, transfer._CHUNK + 1, 2 * transfer._CHUNK + 7],
+)
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DistributionSpec.bernoulli(0.5, 0.0, 1.0),
+        DistributionSpec.uniform(-1.0, 2.0),
+        DistributionSpec.point_mass(0.25),
+    ],
+    ids=["bernoulli", "uniform", "point_mass"],
+)
+def test_chunked_lyapunov_is_bitwise_the_per_step_loop(spec, steps):
+    est = lyapunov(2.3, spec, steps, seed=19, trial=4, batches=7)
+    assert (est.gamma_hat, est.stderr) == _per_step_lyapunov(2.3, spec, steps, 19, 4, 7)
 
 
 def test_lyapunov_free_hyperbolic():

@@ -7,15 +7,16 @@ potential array is the whole field of particle i's single-particle cube.
 Only the sums are materialized; the tensor-product eigenfunctions are never
 needed downstream.
 
-``SumsetAssembly`` is the campaign's route to those sums: one read-only
-single-particle kinetic matrix serves every particle of every cube, and a
-block of trials solves all of them, for every trial of the block, in one
-stacked ``eigvalsh`` call.  The sorted sums come back as one (trials,
-cubes, m^n) array, m = side^d; no Spectrum objects are built.  The stack
-holds trials * cubes * n * m^2 floats, which the campaign's block size
-keeps under a fixed element budget (``wegner``).  ``verify_decomposition``
-goes through the same assembly, so the ``tensor`` suite checks the sums a
-campaign trial decides on.
+``SumsetAssembly`` solves single-particle operators: one read-only kinetic
+matrix serves every particle box, and ``eigenvalues`` solves a whole
+(..., m) stack of box potentials, m = side^d, in one stacked ``eigvalsh``
+call.  A campaign block passes its (trials, k, m) potentials of the k
+distinct particle boxes, so the stack holds trials * k * m^2 floats, which
+the campaign's block size keeps under a fixed element budget (``wegner``);
+it then gathers each cube's n rows and forms the sums with
+``sorted_sums``, the one place where sums are formed.  No Spectrum objects
+are built.  ``verify_decomposition`` composes the same two steps, so the
+``tensor`` suite checks the sums a campaign trial decides on.
 """
 
 from dataclasses import dataclass
@@ -63,21 +64,21 @@ class SumsetAssembly:
         kinetic.flags.writeable = False
         return cls(kinetic)
 
-    def spectra(self, potentials: np.ndarray) -> np.ndarray:
-        """The sorted h = 0 spectrum of each cube, from its (n, m) potentials.
+    def eigenvalues(self, potentials: np.ndarray) -> np.ndarray:
+        """The ascending eigenvalues of each single-particle operator.
 
-        ``potentials`` has shape (..., n, m), in a campaign (trials, cubes,
-        n, m); the result has shape (..., m^n).  Every single-particle
-        matrix is copied from ``kinetic`` into one fresh stack, given its
-        potentials on the diagonal and solved in one stacked call; each
-        cube's spectrum is the sorted sumset of its n rows of eigenvalues.
+        ``potentials`` has shape (..., m), one particle box's potentials per
+        leading index, in a campaign (trials, k, m); the result has the same
+        shape.  Every matrix is copied from ``kinetic`` into one fresh
+        stack, given its potentials on the diagonal and solved in one
+        stacked call, so each row is bitwise its own solve.
         """
         m = self.kinetic.shape[0]
         stack = np.empty(potentials.shape + (m,))
         stack[...] = self.kinetic
         diagonals = stack.reshape(potentials.shape[:-1] + (m * m,))[..., :: m + 1]
         diagonals += potentials
-        return sorted_sums(np.linalg.eigvalsh(stack))
+        return np.linalg.eigvalsh(stack)
 
 
 def verify_decomposition(cube: Cube, potentials: np.ndarray) -> float:
@@ -89,6 +90,6 @@ def verify_decomposition(cube: Cube, potentials: np.ndarray) -> float:
     against direct diagonalization of the full operator at h = 0.
     """
     assembly = SumsetAssembly.of(cube.center.d, cube.radius)
-    combined = assembly.spectra(np.asarray(potentials, dtype=np.float64))
+    combined = sorted_sums(assembly.eigenvalues(np.asarray(potentials, dtype=np.float64)))
     direct = full_spectrum(build_hamiltonian(cube, potentials, InteractionSpec.none(), 0.0))
     return float(np.max(np.abs(combined - direct.eigenvalues)))

@@ -7,23 +7,32 @@ are closed (<=) to match the defining inequalities.  Probabilities are
 estimated by counting over counter-based trials, so the success count is
 bit-identical for a fixed seed.
 
-A campaign decides its trials in blocks.  ``evaluate_event`` draws a
-block's (trials, cubes, n, side^d) potentials in one hash call and
-``decide`` turns them into one decision per trial.  For n >= 2 the block
-makes one stacked single-particle solve and gets the cubes' sorted sumset
-spectra (the exact h = 0 spectra, moved by at most max|h*U| under weak
-coupling, by Weyl).  One vectorised pass computes each trial's signed
-margin on the sums, the smallest closeness at which its event holds there;
-a trial whose margin clears eps by the certified bound mu is decided by
-it.  Every other trial, and every n = 1 trial, is decided on the dense
-spectra of the same potentials by the closed comparisons, so every
-decision is the dense one and a trial's decision does not depend on the
-block it is drawn in.  A block holds at most _BLOCK_ELEMENTS floats per
-array: its size is that budget over the largest per-trial array, the
-single-particle stack cubes * n * side^(2d) or the sums cubes * side^(nd).
+All particles move in one field, so two particles whose single-particle
+boxes coincide carry the same potentials.  A prepared query keeps the k
+distinct particle boxes of its cubes and each particle's box index.  A
+campaign decides its trials in blocks.  ``evaluate_event`` draws a block's
+(trials, k, side^d) box potentials in one hash call and ``decide`` turns
+them into one decision per trial.  For n >= 2 the block makes one stacked
+solve of the k single-particle operators per trial, gathers each cube's n
+rows of eigenvalues and gets the cubes' sorted sumset spectra (the exact
+h = 0 spectra, moved by at most max|h*U| under weak coupling, by Weyl).
+One vectorised pass computes each trial's signed margin on the sums, the
+smallest closeness at which its event holds there; a trial whose margin
+clears eps by the certified bound mu is decided by it.  Every other
+trial, and every n = 1 trial, is decided on the dense spectra of the same
+potentials by the closed comparisons, so every decision is the dense one
+and a trial's decision does not depend on the block it is drawn in.  A
+block holds at most _BLOCK_ELEMENTS floats per array: its size is that
+budget over the largest per-trial array, the single-particle stack
+k * side^(2d) or the sums cubes * side^(nd).
+
+For a finite-support measure, ``exact_probability`` enumerates every field
+on the distinct lattice points of the boxes and decides each through
+``decide``: the exact event probability, as an oracle for the campaign.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -47,11 +56,12 @@ from .randomfield import (
     validate,
 )
 from .spectral import DENSE_LIMIT, Spectrum, dist_to_spectrum, full_spectrum
-from .tensor import SumsetAssembly
+from .tensor import SumsetAssembly, sorted_sums
 
 _WILSON_Z = 1.96
 _TOLERANCE = 1e-10
 _BLOCK_ELEMENTS = 1 << 15
+_EXACT_FIELDS = 1 << 20
 
 
 def _interval_dists(ev: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -259,15 +269,18 @@ class MCResult:
 class PreparedQuery(NamedTuple):
     """The trial-invariant part of an event query, all arrays read-only.
 
-    ``points`` is the (cubes, n, side^d, d) array of each cube's particle
-    points and ``assemblies`` holds one CubeAssembly per cube.  ``sumset``
-    solves the single-particle operators of every cube (None for n = 1),
-    and ``margin`` bounds how far a sumset eigenvalue and the rank-matched
-    dense eigenvalue of the same cube can lie apart.  ``block`` is the
+    ``boxes`` is the (k, side^d, d) array of the distinct particle boxes
+    (single-particle cubes) of the query's cubes and ``box_of`` the
+    (cubes, n) box index of each particle, so ``boxes[box_of]`` holds each
+    cube's particle points.  ``assemblies`` holds one CubeAssembly per
+    cube.  ``sumset`` solves the single-particle operators of the boxes
+    (None for n = 1), and ``margin`` bounds how far a sumset eigenvalue and
+    the rank-matched dense eigenvalue of the same cube can lie apart.  ``block`` is the
     number of trials a campaign decides at once.
     """
 
-    points: np.ndarray
+    boxes: np.ndarray
+    box_of: np.ndarray
     assemblies: tuple[CubeAssembly, ...]
     sumset: SumsetAssembly | None
     margin: float
@@ -306,7 +319,7 @@ class EventQuery:
 
     @cached_property
     def prepared(self) -> PreparedQuery:
-        """Particle points and assemblies of the cubes, computed once.
+        """Particle boxes and assemblies of the cubes, computed once.
 
         Raises DistributionError for an invalid distribution, as
         sample_field does.
@@ -316,12 +329,16 @@ class EventQuery:
             raise DistributionError("invalid distribution: " + "; ".join(violations))
         cubes = _query_cubes(self)
         points = np.stack([c.particle_points() for c in cubes])
-        points.flags.writeable = False
+        rows = points.reshape((-1,) + points.shape[2:])
+        boxes, box_of = np.unique(rows, axis=0, return_inverse=True)
+        box_of = box_of.reshape(points.shape[:2])
+        boxes.flags.writeable = box_of.flags.writeable = False
         assemblies = tuple(CubeAssembly.of(c, self.interaction, self.h) for c in cubes)
         sumset = SumsetAssembly.of(self.d, self.L) if self.n >= 2 else None
-        cubes, n, m = points.shape[:3]
-        block = max(1, _BLOCK_ELEMENTS // (cubes * max(n * m * m, m**n)))
-        return PreparedQuery(points, assemblies, sumset, _margin(self, assemblies), block)
+        k, m = boxes.shape[:2]
+        block = max(1, _BLOCK_ELEMENTS // max(k * m * m, len(cubes) * m**self.n))
+        margin = _margin(self, assemblies)
+        return PreparedQuery(boxes, box_of, assemblies, sumset, margin, block)
 
 
 def _diagonal_bound(query: EventQuery) -> float:
@@ -438,27 +455,31 @@ def _sums_margin(query: EventQuery, sums: np.ndarray, bound: float) -> np.ndarra
 def decide(query: EventQuery, potentials: np.ndarray) -> np.ndarray:
     """The event on each trial of a block, one bool per trial.
 
-    ``potentials`` is the (trials, cubes, n, side^d) array ``draw_values``
-    gives at the prepared points.  For n >= 2 every dense eigenvalue lies
-    within the prepared margin mu of the rank-matched sumset eigenvalue,
-    and each margin moves by at most mu with them, so a trial whose sums
-    margin exceeds eps + mu fails on the dense spectra at eps and one
-    whose margin is at most eps - mu holds there.  Every other trial, and
-    every n = 1 trial, is decided on the dense spectra of its potentials.
-    Either way the decision is the dense one.
+    ``potentials`` is the (trials, k, side^d) array ``draw_values`` gives
+    at the prepared boxes; cube c's (n, side^d) potentials are its rows
+    ``box_of[c]``.  For n >= 2 each box is solved once per trial, and
+    every dense eigenvalue lies within the prepared margin mu of the
+    rank-matched sumset eigenvalue; each margin moves by at most mu with
+    them, so a trial whose sums margin exceeds eps + mu fails on the dense
+    spectra at eps and one whose margin is at most eps - mu holds there.
+    Every other trial, and every n = 1 trial, is decided on the dense
+    spectra of its cubes' potentials.  Either way the decision is the
+    dense one.
     """
     prepared = query.prepared
     decisions = np.zeros(len(potentials), dtype=bool)
     dense = np.ones(len(potentials), dtype=bool)
     if prepared.sumset is not None:
         upper = query.eps + prepared.margin
-        margin = _sums_margin(query, prepared.sumset.spectra(potentials), upper)
+        singles = prepared.sumset.eigenvalues(potentials)
+        sums = sorted_sums(singles[:, prepared.box_of])
+        margin = _sums_margin(query, sums, upper)
         decisions = margin <= query.eps - prepared.margin
         dense = ~decisions & (margin <= upper)
     for t in np.flatnonzero(dense):
         spectra = [
-            full_spectrum(assembly.matrix(v))
-            for assembly, v in zip(prepared.assemblies, potentials[t])
+            full_spectrum(assembly.matrix(potentials[t, of]))
+            for assembly, of in zip(prepared.assemblies, prepared.box_of)
         ]
         decisions[t] = _decide(query, spectra)
     return decisions
@@ -467,13 +488,14 @@ def decide(query: EventQuery, potentials: np.ndarray) -> np.ndarray:
 def evaluate_event(query: EventQuery, seed: int, trial: int, count: int = 1) -> int:
     """The number of successes among trials trial, ..., trial + count - 1.
 
-    One draw at the prepared particle points gives every cube of every
-    trial its (n, side^d) potentials; cubes that share a lattice point read
-    the same value, since the value is a pure function of (seed, trial,
-    point).  ``decide`` then decides the whole block.
+    One draw at the prepared boxes gives every distinct particle box of
+    every trial its side^d potentials, which serve every particle on that
+    box; boxes that share a lattice point read the same value, since the
+    value is a pure function of (seed, trial, point).  ``decide`` then
+    decides the whole block.
     """
     trials = np.arange(trial, trial + count)
-    potentials = draw_values(query.distribution, query.prepared.points, seed, trials)
+    potentials = draw_values(query.distribution, query.prepared.boxes, seed, trials)
     return int(np.count_nonzero(decide(query, potentials)))
 
 
@@ -499,6 +521,57 @@ def mc_estimate(query: EventQuery, trials: int, seed: int) -> MCResult:
         successes=successes,
         p_hat=p_hat,
         ci95=wilson_interval(successes, trials),
+    )
+
+
+def exact_probability(query: EventQuery):
+    """The exact event probability of a finite-support row, a Fraction.
+
+    A trial's potentials are the field at the P distinct lattice points of
+    the prepared boxes.  With s support values every one of the s^P fields
+    is decided through ``decide``, in blocks of the prepared size.  A
+    field's weight is the product of its values' weights, so it depends
+    only on how many points take each value: successes are tallied by that
+    count vector and summed as exact rationals of the measure's float
+    weights.  Raises DistributionError, before any field is decided, for
+    an invalid query, a measure without finite support, or more than
+    _EXACT_FIELDS fields.
+    """
+    from fractions import Fraction  # here, so that no campaign command loads it
+
+    problems = validate_query(query)
+    if query.distribution.kind == "uniform":
+        problems.append("exact enumeration needs a finite-support measure, got uniform")
+    if not problems:
+        prepared = query.prepared
+        coords = prepared.boxes.reshape(-1, query.d)
+        points, where = np.unique(coords, axis=0, return_inverse=True)
+        spec = query.distribution
+        if spec.kind == "bernoulli":
+            support = [(spec.hi, Fraction(spec.p)), (spec.lo, 1 - Fraction(spec.p))]
+        else:
+            support = [(v, Fraction(w)) for v, w in zip(spec.values, spec.weights) if w > 0]
+        s, count = len(support), len(points)
+        fields = s**count
+        if fields > _EXACT_FIELDS:
+            problems.append(
+                f"{s}^{count} = {fields} fields exceed the enumeration limit {_EXACT_FIELDS}"
+            )
+    if problems:
+        raise DistributionError("cannot enumerate event query: " + "; ".join(problems))
+    values = np.array([v for v, _ in support])
+    where = where.reshape(prepared.boxes.shape[:2])
+    place = s ** np.arange(count)
+    tally = Counter()
+    for start in range(0, fields, prepared.block):
+        digits = np.arange(start, min(start + prepared.block, fields))[:, None] // place % s
+        success = decide(query, values[digits][:, where])
+        counts = np.sum(digits[success, :, None] == np.arange(s), axis=1)
+        tally.update(map(tuple, counts.tolist()))
+    weights = [w for _, w in support]
+    return sum(
+        (hits * math.prod(map(pow, weights, counts)) for counts, hits in tally.items()),
+        Fraction(0),
     )
 
 

@@ -1,11 +1,15 @@
 import dataclasses
+import itertools
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wegnerlab.verify as verify
 import wegnerlab.wegner as wegner
+from wegnerlab.config import event_query_for, parse_config
 from wegnerlab.errors import DistributionError
 from wegnerlab.hamiltonian import InteractionSpec, SymMatrix
 from wegnerlab.lattice import Cube, Site, coords_array, sup_norm
@@ -16,6 +20,7 @@ from wegnerlab.wegner import (
     decay_fit,
     delta0,
     evaluate_event,
+    exact_probability,
     fixed_energy_event,
     h_star,
     mc_estimate,
@@ -554,7 +559,8 @@ def test_prepared_trial_matches_reference_composition(monkeypatch, name):
         drawn.clear()
         decision, matrices = _reference_trial(query, 23, trial)
         assert evaluate_event(query, 23, trial) == decision
-        ((potentials,),) = drawn
+        ((boxes,),) = drawn
+        potentials = boxes[query.prepared.box_of]
         assert len(potentials) == len(matrices)
         for assembly, v, want in zip(query.prepared.assemblies, potentials, matrices):
             got = assembly.matrix(v)
@@ -568,8 +574,8 @@ def test_prepared_query_is_cached_and_read_only():
     query = _EQUIVALENCE_QUERIES["two_volume-finite-n2d1-coupled"]
     prepared = query.prepared
     assert query.prepared is prepared
-    assert prepared.points.shape == (2, 2, 5, 1)
-    arrays = [prepared.points, prepared.sumset.kinetic]
+    assert prepared.boxes[prepared.box_of].shape == (2, 2, 5, 1)
+    arrays = [prepared.boxes, prepared.box_of, prepared.sumset.kinetic]
     for assembly in prepared.assemblies:
         arrays += [assembly.rows, assembly.cols, assembly.vals, assembly.coupling]
     for a in arrays:
@@ -594,18 +600,67 @@ def test_overlapping_particle_boxes_read_one_shared_field(monkeypatch):
 
     draw = wegner.draw_values
     monkeypatch.setattr(wegner, "draw_values", recording_draw_values)
-    points = query.prepared.points.reshape(-1)
+    points = query.prepared.boxes.reshape(-1)
     for trial in range(5):
         drawn.clear()
         evaluate_event(query, 11, trial)
         values = np.concatenate(drawn).ravel()
-        assert values.size == points.size == 20
+        assert values.size == points.size == 15  # 3 distinct boxes of 5 points
         by_point = {}
         for p, v in zip(points.tolist(), values.tolist()):
             by_point.setdefault(p, set()).add(v)
         assert all(len(vs) == 1 for vs in by_point.values())
         assert sorted(by_point) == list(range(-2, 6))
         assert len(set(values.tolist())) == 8
+
+
+@pytest.mark.parametrize(
+    ("kind", "n", "offset", "k"),
+    [
+        ("variable", 2, None, 1),
+        ("variable", 3, None, 1),
+        ("two_volume", 2, None, 2),
+        ("two_volume", 3, None, 2),
+        ("two_volume", 2, (1, 3), 3),
+    ],
+)
+def test_prepared_query_keeps_each_distinct_particle_box_once(kind, n, offset, k):
+    # a single cube puts all n particles on one box; the default offset puts
+    # the partner cube's particles 2..n back on it; (1, 3) moves both
+    query = EventQuery(
+        kind, n, 1, 2, BERNOULLI, InteractionSpec.none(), 0.0, 0.05, window=(4.0, 4.4),
+        offset=offset,
+    )
+    prepared = query.prepared
+    assert prepared.boxes.shape == (k, 5, 1)
+    assert prepared.box_of.shape == (len(prepared.assemblies), n)
+    assert np.array_equal(prepared.boxes[prepared.box_of], _cube_points(query))
+
+
+def test_prepared_boxes_gather_to_each_cubes_particle_points():
+    queries = list(_EQUIVALENCE_QUERIES.values()) + [q for q, _ in _ROUTE_QUERIES.values()]
+    for query in queries:
+        prepared = query.prepared
+        assert np.array_equal(prepared.boxes[prepared.box_of], _cube_points(query))
+        assert len(np.unique(prepared.boxes, axis=0)) == len(prepared.boxes)
+
+
+def test_box_solves_gather_bitwise_to_the_per_particle_stack():
+    # drawing and solving each distinct box once, then gathering, gives
+    # bitwise the values and eigenvalues of every particle of every cube
+    trials = np.arange(40)
+    for name, (query, _) in _ROUTE_QUERIES.items():
+        prepared = query.prepared
+        by_box = draw_values(query.distribution, prepared.boxes, 43, trials)
+        by_particle = draw_values(query.distribution, _cube_points(query), 43, trials)
+        assert np.array_equal(by_box[:, prepared.box_of], by_particle), name
+        solved = prepared.sumset.eigenvalues(by_box)[:, prepared.box_of]
+        assert np.array_equal(solved, prepared.sumset.eigenvalues(by_particle)), name
+
+
+def _cube_points(query):
+    """Each cube's particle points, straight from the cubes."""
+    return np.stack([c.particle_points() for c in wegner._query_cubes(query)])
 
 
 def test_evaluate_event_rejects_invalid_distribution():
@@ -686,7 +741,8 @@ def test_sumset_route_matches_dense_composition(monkeypatch):
         cubes = len(query.prepared.assemblies)
         successes = fallen_back = 0
         for trial in range(trials):
-            potentials = draw_values(query.distribution, query.prepared.points, 29, trial)
+            points = query.prepared.boxes[query.prepared.box_of]
+            potentials = draw_values(query.distribution, points, 29, trial)
             calls.clear()
             decided = evaluate_event(query, 29, trial)
             fallen_back += len(calls) == cubes
@@ -702,7 +758,8 @@ def test_sumset_route_matches_dense_composition(monkeypatch):
 
 
 def _top_eigenvalues(query, seed, trial):
-    potentials = draw_values(query.distribution, query.prepared.points, seed, trial)
+    points = query.prepared.boxes[query.prepared.box_of]
+    potentials = draw_values(query.distribution, points, seed, trial)
     return [
         float(full_spectrum(a.matrix(v)).eigenvalues[-1])
         for a, v in zip(query.prepared.assemblies, potentials)
@@ -791,3 +848,92 @@ def test_trial_blocks_decide_as_single_trials(monkeypatch, name):
         split = sum(evaluate_event(query, 37, a, b - a) for a, b in zip(cuts[:-1], cuts[1:]))
         assert split == counts[trials]
     assert evaluate_event(query, 37, 5, 0) == 0
+
+
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _config_row(name, L):
+    return event_query_for(parse_config((_CONFIGS / f"{name}.json").read_text()), L)
+
+
+@pytest.mark.parametrize(
+    ("name", "L", "successes", "fields"),
+    [
+        ("two_volume_edge", 2, 10, 2**10),
+        ("two_volume_edge", 3, 371, 2**14),
+        ("variable_edge_weak_coupling", 2, 3, 2**5),
+        ("variable_edge_weak_coupling", 3, 14, 2**7),
+    ],
+)
+def test_exact_probability_of_shipped_rows(name, L, successes, fields):
+    assert exact_probability(_config_row(name, L)) == Fraction(successes, fields)
+
+
+_THREE_POINT = DistributionSpec.finite([0.0, 0.5, 1.0], [0.25, 0.5, 0.25])
+_EXACT_QUERIES = {
+    "two_volume-finite-n2d1-coupled": EventQuery(
+        "two_volume", 2, 1, 1, _THREE_POINT, _PAIR, 0.01, 0.1, window=(3.9, 4.3)
+    ),
+    "variable-bernoulli-n3d1": EventQuery(
+        "variable", 3, 1, 1, DistributionSpec.bernoulli(0.25, -1.0, 2.0),
+        InteractionSpec.none(), 0.0, 0.05, window=(6.0, 6.4),
+    ),
+    "two_volume-finite-n1d2-overlapping": EventQuery(
+        "two_volume", 1, 2, 1, DistributionSpec.finite([0.0, 1.0], [0.75, 0.25]),
+        InteractionSpec.none(), 0.0, 0.05,
+        window=(4.0, 4.3), offset=(0, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_QUERIES))
+def test_exact_probability_matches_field_by_field_enumeration(name):
+    # every assignment of support values to the lattice points, decided
+    # densely one field at a time, weighted by its product of weights
+    query = _EXACT_QUERIES[name]
+    spec = query.distribution
+    if spec.kind == "bernoulli":
+        support = [(spec.hi, Fraction(spec.p)), (spec.lo, 1 - Fraction(spec.p))]
+    else:
+        support = [(v, Fraction(w)) for v, w in zip(spec.values, spec.weights)]
+    cube_points = _cube_points(query)
+    points = sorted({tuple(p) for p in cube_points.reshape(-1, query.d).tolist()})
+    index = np.array([points.index(tuple(p)) for p in cube_points.reshape(-1, query.d).tolist()])
+    want = Fraction(0)
+    for field in itertools.product(support, repeat=len(points)):
+        values = np.array([v for v, _ in field])[index].reshape(cube_points.shape[:-1])
+        if _dense_decision(query, values):
+            want += math.prod(w for _, w in field)
+    assert 0 < want < 1
+    assert exact_probability(query) == want
+
+
+def test_exact_probability_refuses_before_deciding(monkeypatch):
+    def no_decisions(*args):
+        raise AssertionError("decided a field")
+
+    monkeypatch.setattr(wegner, "decide", no_decisions)
+    too_many = EventQuery(
+        "fixed", 1, 1, 10, BERNOULLI, InteractionSpec.none(), 0.0, 0.1, energy=2.0
+    )
+    with pytest.raises(DistributionError, match=r"2\^21 = 2097152 fields exceed"):
+        exact_probability(too_many)
+    uniform = dataclasses.replace(too_many, L=1, distribution=_UNIFORM)
+    with pytest.raises(DistributionError, match="finite-support measure"):
+        exact_probability(uniform)
+    invalid = dataclasses.replace(too_many, L=1, eps=-1.0)
+    with pytest.raises(DistributionError, match="eps must be positive"):
+        exact_probability(invalid)
+
+
+def test_wilson_intervals_cover_the_exact_probability():
+    # 200 seeds of a 3/32 row: the share of intervals that cover the exact
+    # p lies within four binomial standard deviations of 0.95
+    query = _config_row("variable_edge_weak_coupling", 2)
+    p = float(exact_probability(query))
+    covered = 0
+    for seed in range(200):
+        lo, hi = mc_estimate(query, 1000, seed).ci95
+        covered += lo <= p <= hi
+    assert abs(covered - 190) <= 4 * math.sqrt(200 * 0.95 * 0.05)

@@ -79,9 +79,6 @@ class Cube:
         """Single-particle cube C_L(x_i) as a Cube with n=1."""
         return Cube(Site(1, self.center.d, self.center.particle(i)), self.radius)
 
-    def contains(self, site: Site) -> bool:
-        return sup_norm(self.center, site) <= self.radius
-
     def field_region(self) -> np.ndarray:
         """Union over particles of the single-particle cube points in Z^d.
 

@@ -2,10 +2,11 @@
 
 At h = 0 the cube Hamiltonian is the Kronecker sum of the n single-particle
 Hamiltonians built from the same field, so its spectrum is the multiset of
-all sums of one eigenvalue per particle.  Row i of the cube's (n, side^d)
-potential array is the whole field of particle i's single-particle cube.
-Only the sums are materialized; the tensor-product eigenfunctions are never
-needed downstream.
+all sums of one eigenvalue per particle; for n = 1 that is the spectrum
+itself.  Row i of the cube's (n, side^d) potential array is the whole
+field of particle i's single-particle cube.  Only the sums are
+materialized; the tensor-product eigenfunctions are never needed
+downstream.
 
 ``SumsetAssembly`` solves single-particle operators: one read-only kinetic
 matrix serves every particle box, and ``eigenvalues`` solves a whole

@@ -12,16 +12,17 @@ boxes coincide carry the same potentials.  A prepared query keeps the k
 distinct particle boxes of its cubes and each particle's box index.  A
 campaign decides its trials in blocks.  ``evaluate_event`` draws a block's
 (trials, k, side^d) box potentials in one hash call and ``decide`` turns
-them into one decision per trial.  For n >= 2 the block makes one stacked
-solve of the k single-particle operators per trial, gathers each cube's n
-rows of eigenvalues and gets the cubes' sorted sumset spectra (the exact
-h = 0 spectra, moved by at most max|h*U| under weak coupling, by Weyl).
+them into one decision per trial.  The block makes one stacked solve of
+the k single-particle operators per trial, gathers each cube's n rows of
+eigenvalues and gets the cubes' sorted sumset spectra (the exact h = 0
+spectra, moved by at most max|h*U| under weak coupling, by Weyl; for
+n = 1 a cube is its own single box, so its sums are its spectrum).
 One vectorised pass computes each trial's signed margin on the sums, the
 smallest closeness at which its event holds there; a trial whose margin
 clears eps by the certified bound mu is decided by it.  Every other
-trial, and every n = 1 trial, is decided on the dense spectra of the same
-potentials by the closed comparisons, so every decision is the dense one
-and a trial's decision does not depend on the block it is drawn in.  A
+trial is decided on the dense spectra of the same potentials by the
+closed comparisons, so every decision is the dense one and a trial's
+decision does not depend on the block it is drawn in.  A
 block holds at most _BLOCK_ELEMENTS floats per array: its size is that
 budget over the largest per-trial array, the single-particle stack
 k * side^(2d) or the sums cubes * side^(nd).
@@ -273,16 +274,16 @@ class PreparedQuery(NamedTuple):
     (single-particle cubes) of the query's cubes and ``box_of`` the
     (cubes, n) box index of each particle, so ``boxes[box_of]`` holds each
     cube's particle points.  ``assemblies`` holds one CubeAssembly per
-    cube.  ``sumset`` solves the single-particle operators of the boxes
-    (None for n = 1), and ``margin`` bounds how far a sumset eigenvalue and
-    the rank-matched dense eigenvalue of the same cube can lie apart.  ``block`` is the
+    cube.  ``sumset`` solves the single-particle operators of the boxes,
+    and ``margin`` bounds how far a sumset eigenvalue and the rank-matched
+    dense eigenvalue of the same cube can lie apart.  ``block`` is the
     number of trials a campaign decides at once.
     """
 
     boxes: np.ndarray
     box_of: np.ndarray
     assemblies: tuple[CubeAssembly, ...]
-    sumset: SumsetAssembly | None
+    sumset: SumsetAssembly
     margin: float
     block: int
 
@@ -334,7 +335,7 @@ class EventQuery:
         box_of = box_of.reshape(points.shape[:2])
         boxes.flags.writeable = box_of.flags.writeable = False
         assemblies = tuple(CubeAssembly.of(c, self.interaction, self.h) for c in cubes)
-        sumset = SumsetAssembly.of(self.d, self.L) if self.n >= 2 else None
+        sumset = SumsetAssembly.of(self.d, self.L)
         k, m = boxes.shape[:2]
         block = max(1, _BLOCK_ELEMENTS // max(k * m * m, len(cubes) * m**self.n))
         margin = _margin(self, assemblies)
@@ -457,26 +458,21 @@ def decide(query: EventQuery, potentials: np.ndarray) -> np.ndarray:
 
     ``potentials`` is the (trials, k, side^d) array ``draw_values`` gives
     at the prepared boxes; cube c's (n, side^d) potentials are its rows
-    ``box_of[c]``.  For n >= 2 each box is solved once per trial, and
-    every dense eigenvalue lies within the prepared margin mu of the
-    rank-matched sumset eigenvalue; each margin moves by at most mu with
-    them, so a trial whose sums margin exceeds eps + mu fails on the dense
-    spectra at eps and one whose margin is at most eps - mu holds there.
-    Every other trial, and every n = 1 trial, is decided on the dense
-    spectra of its cubes' potentials.  Either way the decision is the
-    dense one.
+    ``box_of[c]``.  Each box is solved once per trial, and every dense
+    eigenvalue lies within the prepared margin mu of the rank-matched
+    sumset eigenvalue; each margin moves by at most mu with them, so a
+    trial whose sums margin exceeds eps + mu fails on the dense spectra at
+    eps and one whose margin is at most eps - mu holds there.  Every other
+    trial is decided on the dense spectra of its cubes' potentials.
+    Either way the decision is the dense one.
     """
     prepared = query.prepared
-    decisions = np.zeros(len(potentials), dtype=bool)
-    dense = np.ones(len(potentials), dtype=bool)
-    if prepared.sumset is not None:
-        upper = query.eps + prepared.margin
-        singles = prepared.sumset.eigenvalues(potentials)
-        sums = sorted_sums(singles[:, prepared.box_of])
-        margin = _sums_margin(query, sums, upper)
-        decisions = margin <= query.eps - prepared.margin
-        dense = ~decisions & (margin <= upper)
-    for t in np.flatnonzero(dense):
+    upper = query.eps + prepared.margin
+    singles = prepared.sumset.eigenvalues(potentials)
+    sums = sorted_sums(singles[:, prepared.box_of])
+    margin = _sums_margin(query, sums, upper)
+    decisions = margin <= query.eps - prepared.margin
+    for t in np.flatnonzero(~decisions & (margin <= upper)):
         spectra = [
             full_spectrum(assembly.matrix(potentials[t, of]))
             for assembly, of in zip(prepared.assemblies, prepared.box_of)

@@ -9,7 +9,7 @@ import pytest
 
 import wegnerlab.verify as verify
 import wegnerlab.wegner as wegner
-from wegnerlab.config import event_query_for, parse_config
+from wegnerlab.config import event_query_for, parse_config, row_seed
 from wegnerlab.errors import DistributionError
 from wegnerlab.hamiltonian import InteractionSpec, SymMatrix
 from wegnerlab.lattice import Cube, Site, coords_array, sup_norm
@@ -690,9 +690,23 @@ def _counting_full_spectrum(monkeypatch):
 
 
 _UNIFORM = DistributionSpec.uniform(0.0, 2.0)
-# (query, trials): every event kind, n = 2 and 3, d = 1 and 2, Bernoulli and
-# uniform, h = 0 and h = 0.01 with pair_contact; 10^4 decisions in all
+# (query, trials): every event kind, n = 1, 2 and 3, d = 1 and 2, Bernoulli
+# and uniform, h = 0 and h = 0.01 with pair_contact, overlapping two-volume
+# boxes; over 10^4 decisions in all
 _ROUTE_QUERIES = {
+    "fixed-bernoulli-n1d1-L4": (
+        EventQuery("fixed", 1, 1, 4, BERNOULLI, InteractionSpec.none(), 0.0, 0.15, energy=2.0),
+        400,
+    ),
+    "variable-uniform-n1d2-L2-coupled": (
+        EventQuery("variable", 1, 2, 2, _UNIFORM, _PAIR, 0.01, 0.02, window=(4.0, 4.1)),
+        400,
+    ),
+    "two_volume-bernoulli-n1d2-L1-overlapping": (
+        EventQuery("two_volume", 1, 2, 1, BERNOULLI, InteractionSpec.none(), 0.0, 0.05,
+                   window=(4.0, 4.3), offset=(0, 1)),
+        400,
+    ),
     "two_volume-bernoulli-n2d1-L4": (
         EventQuery("two_volume", 2, 1, 4, BERNOULLI, InteractionSpec.none(), 0.0,
                    math.exp(-2.0), window=(0.3 - delta0(1.0, 4, 0.5), 0.3 + delta0(1.0, 4, 0.5))),
@@ -769,7 +783,8 @@ def _top_eigenvalues(query, seed, trial):
 @pytest.mark.parametrize(
     "name",
     ["two_volume-bernoulli-n2d1-L4", "fixed-bernoulli-n3d1-L1-coupled",
-     "variable-bernoulli-n2d2-L1", "two_volume-uniform-n2d2-L1-coupled"],
+     "variable-bernoulli-n2d2-L1", "two_volume-uniform-n2d2-L1-coupled",
+     "two_volume-bernoulli-n1d2-L1-overlapping"],
 )
 def test_sumset_route_falls_back_on_boundary_instances(monkeypatch, name):
     # Each instance puts the event boundary exactly on a dense eigenvalue:
@@ -797,19 +812,6 @@ def test_sumset_route_falls_back_on_boundary_instances(monkeypatch, name):
             decided = evaluate_event(query, 31, trial)
             assert len(calls) == len(query.prepared.assemblies), (query.kind, trial)
             assert decided == _dense_decision(query, potentials), (query.kind, trial)
-
-
-def test_one_particle_queries_never_build_a_sumset_assembly(monkeypatch):
-    def no_sumset(*args):
-        raise AssertionError("built a sumset assembly for n = 1")
-
-    monkeypatch.setattr(wegner.SumsetAssembly, "of", no_sumset)
-    for name in ("fixed-bernoulli-n1d1", "variable-finite-n1d2-coupled",
-                 "two_volume-bernoulli-n1d2-overlapping"):
-        query = dataclasses.replace(_EQUIVALENCE_QUERIES[name])  # a fresh, unprepared copy
-        for trial in range(10):
-            evaluate_event(query, 5, trial)
-        assert query.prepared.sumset is None
 
 
 @pytest.mark.parametrize("name", sorted(_ROUTE_QUERIES))
@@ -864,10 +866,23 @@ def _config_row(name, L):
         ("two_volume_edge", 3, 371, 2**14),
         ("variable_edge_weak_coupling", 2, 3, 2**5),
         ("variable_edge_weak_coupling", 3, 14, 2**7),
+        ("fixed_band_center", 8, 34862, 2**17),
     ],
 )
 def test_exact_probability_of_shipped_rows(name, L, successes, fields):
     assert exact_probability(_config_row(name, L)) == Fraction(successes, fields)
+
+
+def test_band_center_row_decides_without_dense_solves(monkeypatch):
+    # every trial of the shipped n = 1, h = 0 row clears its certified
+    # margin on the stacked box solve, so no trial reaches the dense path
+    config = parse_config((_CONFIGS / "fixed_band_center.json").read_text())
+    L = 8
+    seed = row_seed(config.run.seed, L, config.model.L_list.index(L))
+    calls = _counting_full_spectrum(monkeypatch)
+    result = mc_estimate(event_query_for(config, L), config.run.trials, seed)
+    assert result.trials == 10000
+    assert calls == []
 
 
 _THREE_POINT = DistributionSpec.finite([0.0, 0.5, 1.0], [0.25, 0.5, 0.25])

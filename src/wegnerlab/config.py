@@ -95,12 +95,22 @@ def _object(value, where: str) -> dict:
 
 
 def _typed(kind, value, where: str):
-    """``kind(value)`` for ``kind`` int or float, or a ConfigError naming the key."""
-    try:
-        result = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        result = None
-    if result is None or (kind is float and not math.isfinite(result)):
+    """``kind(value)`` for ``kind`` int or float, or a ConfigError naming the key.
+
+    Only a JSON number is taken, never a boolean or a string, and an int
+    key takes only an integral one, so no value is coerced.
+    """
+    result = None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            result = kind(value)
+        except (ValueError, OverflowError):
+            pass
+    if (
+        result is None
+        or (kind is int and result != value)
+        or (kind is float and not math.isfinite(result))
+    ):
         expected = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"{where} must be {expected}, got {_show(value)}")
     return result

@@ -11,13 +11,16 @@ downstream.
 ``SumsetAssembly`` solves single-particle operators: one read-only kinetic
 matrix serves every particle box, and ``eigenvalues`` solves a whole
 (..., m) stack of box potentials, m = side^d, in one stacked ``eigvalsh``
-call.  A campaign block passes its (trials, k, m) potentials of the k
-distinct particle boxes, so the stack holds trials * k * m^2 floats, which
-the campaign's block size keeps under a fixed element budget (``wegner``);
-it then gathers each cube's n rows and forms the sums with
-``sorted_sums``, the one place where sums are formed.  No Spectrum objects
-are built.  ``verify_decomposition`` composes the same two steps, so the
-``tensor`` suite checks the sums a campaign trial decides on.
+call over its distinct rows.  A campaign block passes its (trials, k, m)
+potentials of the k distinct particle boxes.  Under a finite-support
+measure a box has at most s^m potential patterns, so a block repeats them
+across its trials, and each pattern is solved once; the stack never holds
+more than trials * k * m^2 floats, which the campaign's block size keeps
+under a fixed element budget (``wegner``).  The campaign then gathers each
+cube's n rows and forms the sums with ``unsorted_sums``; ``sorted_sums``
+sorts them, and ``verify_decomposition`` composes it with the same solve,
+so the ``tensor`` suite checks the sums a campaign trial decides on.  No
+Spectrum objects are built.
 """
 
 from dataclasses import dataclass
@@ -29,12 +32,12 @@ from .lattice import Cube, Site
 from .spectral import full_spectrum
 
 
-def sorted_sums(eigenvalues) -> np.ndarray:
-    """Sorted multiset {sum_i lambda_(i, j_i)} over one entry of each row.
+def unsorted_sums(eigenvalues) -> np.ndarray:
+    """The multiset {sum_i lambda_(i, j_i)} over one entry of each row.
 
     ``eigenvalues`` has shape (..., n, m): n rows of m eigenvalues for each
-    leading index.  The result has shape (..., m^n), sorted along the last
-    axis, duplicates retained.
+    leading index.  The result has shape (..., m^n), duplicates retained,
+    in the lexicographic order of the index tuples (j_1, ..., j_n).
     """
     eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
     sums = eigenvalues[..., 0, :]
@@ -42,7 +45,12 @@ def sorted_sums(eigenvalues) -> np.ndarray:
         ev = eigenvalues[..., k, :]
         sums = sums[..., :, None] + ev[..., None, :]
         sums = sums.reshape(sums.shape[:-2] + (sums.shape[-2] * sums.shape[-1],))
-    return np.sort(sums, axis=-1)
+    return sums
+
+
+def sorted_sums(eigenvalues) -> np.ndarray:
+    """``unsorted_sums`` sorted along the last axis."""
+    return np.sort(unsorted_sums(eigenvalues), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -70,16 +78,22 @@ class SumsetAssembly:
 
         ``potentials`` has shape (..., m), one particle box's potentials per
         leading index, in a campaign (trials, k, m); the result has the same
-        shape.  Every matrix is copied from ``kinetic`` into one fresh
-        stack, given its potentials on the diagonal and solved in one
-        stacked call, so each row is bitwise its own solve.
+        shape.  Rows are keyed on their raw bytes, so each distinct bit
+        pattern is copied from ``kinetic`` into one fresh stack once, given
+        its potentials on the diagonal and solved in one stacked call, and
+        every repeat gathers its row's result.  Each row of a stacked call
+        is bitwise its own solve, so every result is bitwise the one a
+        stack of all rows gives; rows that differ in any bit, even -0.0
+        against 0.0, are solved apart.
         """
         m = self.kinetic.shape[0]
-        stack = np.empty(potentials.shape + (m,))
+        rows = np.ascontiguousarray(potentials, dtype=np.float64).reshape(-1, m)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * m)))[:, 0]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        stack = np.empty((len(first), m, m))
         stack[...] = self.kinetic
-        diagonals = stack.reshape(potentials.shape[:-1] + (m * m,))[..., :: m + 1]
-        diagonals += potentials
-        return np.linalg.eigvalsh(stack)
+        stack.reshape(-1, m * m)[:, :: m + 1] += rows[first]
+        return np.linalg.eigvalsh(stack)[inverse].reshape(np.shape(potentials))
 
 
 def verify_decomposition(cube: Cube, potentials: np.ndarray) -> float:
@@ -91,6 +105,6 @@ def verify_decomposition(cube: Cube, potentials: np.ndarray) -> float:
     against direct diagonalization of the full operator at h = 0.
     """
     assembly = SumsetAssembly.of(cube.center.d, cube.radius)
-    combined = sorted_sums(assembly.eigenvalues(np.asarray(potentials, dtype=np.float64)))
+    combined = sorted_sums(assembly.eigenvalues(potentials))
     direct = full_spectrum(build_hamiltonian(cube, potentials, InteractionSpec.none(), 0.0))
     return float(np.max(np.abs(combined - direct.eigenvalues)))

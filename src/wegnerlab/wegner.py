@@ -13,17 +13,19 @@ distinct particle boxes of its cubes and each particle's box index.  A
 campaign decides its trials in blocks.  ``evaluate_event`` draws a block's
 (trials, k, side^d) box potentials in one hash call and ``decide`` turns
 them into one decision per trial.  The block makes one stacked solve of
-the k single-particle operators per trial, gathers each cube's n rows of
-eigenvalues and gets the cubes' sorted sumset spectra (the exact h = 0
-spectra, moved by at most max|h*U| under weak coupling, by Weyl; for
-n = 1 a cube is its own single box, so its sums are its spectrum).
+the distinct single-particle operators among its trials' k boxes (a
+finite-support measure repeats them), gathers each cube's n rows of
+eigenvalues and forms the cubes' sumset spectra, unsorted (the exact
+h = 0 spectra, moved by at most max|h*U| under weak coupling, by Weyl;
+for n = 1 a cube is its own single box, so its sums are its spectrum).
 One vectorised pass computes each trial's signed margin on the sums, the
-smallest closeness at which its event holds there; a trial whose margin
-clears eps by the certified bound mu is decided by it.  Every other
-trial is decided on the dense spectra of the same potentials by the
-closed comparisons, so every decision is the dense one and a trial's
-decision does not depend on the block it is drawn in.  A
-block holds at most _BLOCK_ELEMENTS floats per array: its size is that
+smallest closeness at which its event holds there, sorting only the sums
+of the two-volume trials whose margin needs the exact pairing; a trial
+whose margin clears eps by the certified bound mu is decided by it.
+Every other trial is decided on the dense spectra of the same potentials
+by the closed comparisons, so every decision is the dense one and a
+trial's decision does not depend on the block it is drawn in.  A block
+holds at most _BLOCK_ELEMENTS floats per array: its size is that
 budget over the largest per-trial array, the single-particle stack
 k * side^(2d) or the sums cubes * side^(nd).
 
@@ -57,7 +59,7 @@ from .randomfield import (
     validate,
 )
 from .spectral import DENSE_LIMIT, Spectrum, dist_to_spectrum, full_spectrum
-from .tensor import SumsetAssembly, sorted_sums
+from .tensor import SumsetAssembly, unsorted_sums
 
 _WILSON_Z = 1.96
 _TOLERANCE = 1e-10
@@ -436,20 +438,24 @@ def _decide(query: EventQuery, spectra) -> bool:
 
 
 def _sums_margin(query: EventQuery, sums: np.ndarray, bound: float) -> np.ndarray:
-    """Each trial's margin on its (cubes, N) sorted sums, exact up to ``bound``.
+    """Each trial's margin on its (cubes, N) sums, exact up to ``bound``.
 
     The margin is the smallest closeness at which the event holds:
     interval_dist for the fixed and variable kinds, two_volume_margin for
     the two-volume kind.  The latter is at least max(min dist(x, W),
     min dist(y, W)); a trial whose lower bound exceeds ``bound`` keeps it,
     since the event fails at every closeness up to ``bound`` either way.
+    Only two_volume_margin needs sorted sums, so only the trials whose
+    lower bound is within ``bound`` are sorted; the sums may come in any
+    order along their last axis.
     """
     window = (query.energy, query.energy) if query.kind == "fixed" else query.window
     margin = np.min(_interval_dists(sums, *window), axis=-1).max(axis=-1)
     if query.kind == "two_volume":
         near = margin <= bound
         if near.any():
-            margin[near] = two_volume_margin(sums[near, 0], sums[near, 1], window)
+            x, y = np.sort(sums[near], axis=-1).transpose(1, 0, 2)
+            margin[near] = two_volume_margin(x, y, window)
     return margin
 
 
@@ -458,18 +464,19 @@ def decide(query: EventQuery, potentials: np.ndarray) -> np.ndarray:
 
     ``potentials`` is the (trials, k, side^d) array ``draw_values`` gives
     at the prepared boxes; cube c's (n, side^d) potentials are its rows
-    ``box_of[c]``.  Each box is solved once per trial, and every dense
-    eigenvalue lies within the prepared margin mu of the rank-matched
-    sumset eigenvalue; each margin moves by at most mu with them, so a
-    trial whose sums margin exceeds eps + mu fails on the dense spectra at
-    eps and one whose margin is at most eps - mu holds there.  Every other
+    ``box_of[c]``.  Each distinct box potential of the block is solved
+    once, the sums are formed unsorted, and every dense eigenvalue lies
+    within the prepared margin mu of the rank-matched sumset eigenvalue;
+    each margin moves by at most mu with them, so a trial whose sums
+    margin exceeds eps + mu fails on the dense spectra at eps and one
+    whose margin is at most eps - mu holds there.  Every other
     trial is decided on the dense spectra of its cubes' potentials.
     Either way the decision is the dense one.
     """
     prepared = query.prepared
     upper = query.eps + prepared.margin
     singles = prepared.sumset.eigenvalues(potentials)
-    sums = sorted_sums(singles[:, prepared.box_of])
+    sums = unsorted_sums(singles[:, prepared.box_of])
     margin = _sums_margin(query, sums, upper)
     decisions = margin <= query.eps - prepared.margin
     for t in np.flatnonzero(~decisions & (margin <= upper)):

@@ -116,6 +116,32 @@ WRONGLY_TYPED = {
         json.dumps({**make_config(), "model": [make_config()["model"]]}),
         "model must be a JSON object",
     ),
+    "trials_fraction": (
+        json.dumps(make_config(**{"run.trials": 1000.7})),
+        "run.trials must be an integer, got 1000.7",
+    ),
+    "L_list_string": (
+        json.dumps(make_config(**{"model.L_list": ["3", 2.9]})),
+        "model.L_list must be an integer, got '3'",
+    ),
+    "L_list_fraction": (
+        json.dumps(make_config(**{"model.L_list": [3, 2.9]})),
+        "model.L_list must be an integer, got 2.9",
+    ),
+    "n_bool": (
+        json.dumps(make_config(**{"model.n": True})),
+        "model.n must be an integer, got True",
+    ),
+    "E0_bool": (
+        json.dumps(make_config()).replace('"E0": 2.0', '"E0": false'),
+        "wegner.E0 must be a finite number, got False",
+    ),
+    "p_string": (
+        json.dumps(
+            make_config(**{"model.distribution": {"kind": "bernoulli", "p": "0.5"}})
+        ),
+        "model.distribution.p must be a finite number, got '0.5'",
+    ),
 }
 
 
@@ -132,6 +158,12 @@ def test_config_rejects_wrongly_typed_values(tmp_path, case):
     assert message in result.output
     assert isinstance(result.exception, SystemExit)  # a report, not a raw error
     assert not out.exists()
+
+
+def test_config_takes_integral_numbers_for_integer_keys():
+    config = parse_config(json.dumps(make_config(**{"run.trials": 50.0, "model.L_list": [2.0]})))
+    assert config.run.trials == 50 and type(config.run.trials) is int
+    assert config.model.L_list == (2,) and type(config.model.L_list[0]) is int
 
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: f"{p.parent.name}/{p.name}")

@@ -149,3 +149,79 @@ def test_sumset_block_is_bitwise_the_per_cube_spectra():
             ]
             assert np.array_equal(sums[t, c], sorted_sums(singles))
             assert np.array_equal(sums[t, c], sorted_sums(assembly.eigenvalues(v)))
+
+
+def _full_stack(assembly, potentials):
+    """Every row of ``potentials`` given its own matrix in one stack, repeats included."""
+    m = assembly.kinetic.shape[0]
+    stack = np.empty(potentials.shape + (m,))
+    stack[...] = assembly.kinetic
+    stack.reshape(potentials.shape[:-1] + (m * m,))[..., :: m + 1] += potentials
+    return np.linalg.eigvalsh(stack)
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _stacked_solves(monkeypatch):
+    """Record the number of matrices in each np.linalg.eigvalsh call."""
+    sizes = []
+
+    def recording(a):
+        sizes.append(len(a))
+        return eigvalsh(a)
+
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("d, L", [(1, 2), (2, 1)])
+@pytest.mark.parametrize(
+    "spec",
+    [DistributionSpec.bernoulli(0.5, 0.0, 1.0), DistributionSpec.uniform(0.0, 2.0)],
+    ids=["bernoulli", "uniform"],
+)
+def test_box_solve_stacks_each_distinct_row_once(monkeypatch, spec, d, L):
+    # a (trials, k, m) block of three boxes: Bernoulli rows repeat heavily,
+    # uniform rows never; either way the result is bitwise the full stack's
+    assembly = SumsetAssembly.of(d, L)
+    box = Cube(Site(1, d, (0,) * d), L).particle_points()[0]
+    points = np.stack([box, box + 1, box + 2])
+    block = draw_values(spec, points, 5, np.arange(300))
+    want = _full_stack(assembly, block)
+    rows = block.reshape(-1, block.shape[-1])
+    distinct = len({row.tobytes() for row in rows})
+    sizes = _stacked_solves(monkeypatch)
+    assert _bitwise_equal(assembly.eigenvalues(block), want)
+    assert sizes == [distinct]
+    if spec.kind == "bernoulli":
+        assert distinct <= 2 ** rows.shape[1] < len(rows)
+    else:
+        assert distinct == len(rows)
+
+
+def test_box_solve_keys_rows_on_their_bits(monkeypatch):
+    # rows equal as numbers but not as bits (-0.0 against 0.0, one ulp
+    # apart) are solved apart; bitwise repeats are solved once
+    assembly = SumsetAssembly.of(1, 1)
+    base = [0.0, 1.0, 0.5]
+    rows = np.array(
+        [base, [-0.0, 1.0, 0.5], base, [0.0, np.nextafter(1.0, 2.0), 0.5], [-0.0, 1.0, 0.5]]
+    )
+    want = _full_stack(assembly, rows)
+    sizes = _stacked_solves(monkeypatch)
+    got = assembly.eigenvalues(rows)
+    assert _bitwise_equal(got, want)
+    assert sizes == [3]
+    for row, ev in zip(rows, got):
+        assert _bitwise_equal(ev, _full_stack(assembly, row[None])[0])
+
+
+def test_box_solve_of_an_empty_block():
+    assembly = SumsetAssembly.of(1, 2)
+    empty = np.empty((0, 2, 5))
+    got = assembly.eigenvalues(empty)
+    assert got.shape == (0, 2, 5)
+    assert _bitwise_equal(got, _full_stack(assembly, empty))

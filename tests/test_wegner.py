@@ -15,9 +15,11 @@ from wegnerlab.hamiltonian import InteractionSpec, SymMatrix
 from wegnerlab.lattice import Cube, Site, coords_array, sup_norm
 from wegnerlab.randomfield import DistributionSpec, draw_values, sample_field
 from wegnerlab.spectral import Spectrum, full_spectrum
+from wegnerlab.tensor import sorted_sums, unsorted_sums
 from wegnerlab.wegner import (
     EventQuery,
     decay_fit,
+    decide,
     delta0,
     evaluate_event,
     exact_probability,
@@ -814,6 +816,45 @@ def test_sumset_route_falls_back_on_boundary_instances(monkeypatch, name):
             assert decided == _dense_decision(query, potentials), (query.kind, trial)
 
 
+def test_sums_margin_sorts_only_the_near_trials():
+    # decide hands _sums_margin unsorted sums.  Over 1.2 * 10^4 two-volume
+    # trials and the boundary instances of the test above, its margins are
+    # those of fully sorted sums, and every margin within eps + mu is the
+    # exact two_volume_margin of the sorted sums
+    def check(query, potentials):
+        prepared = query.prepared
+        singles = prepared.sumset.eigenvalues(potentials)[:, prepared.box_of]
+        upper = query.eps + prepared.margin
+        got = wegner._sums_margin(query, unsorted_sums(singles), upper)
+        full = sorted_sums(singles)
+        assert np.array_equal(got, wegner._sums_margin(query, full, upper))
+        exact = two_volume_margin(full[:, 0], full[:, 1], query.window)
+        near = exact <= upper
+        assert np.array_equal(got <= upper, near)
+        assert np.array_equal(got[near], exact[near])
+        return len(got), int(np.count_nonzero(near))
+
+    checked = near = 0
+    for query, _ in _ROUTE_QUERIES.values():
+        if query.kind == "two_volume":
+            potentials = draw_values(query.distribution, query.prepared.boxes, 41, np.arange(3000))
+            trials, close = check(query, potentials)
+            checked, near = checked + trials, near + close
+    assert checked >= 10**4 and near > 0
+    boundary = 0
+    for name in ("two_volume-bernoulli-n2d1-L4", "two_volume-uniform-n2d2-L1-coupled",
+                 "two_volume-bernoulli-n1d2-L1-overlapping"):
+        base, _ = _ROUTE_QUERIES[name]
+        for trial in range(20):
+            tops, _ = _top_eigenvalues(base, 31, trial)
+            pair_eps = abs(tops[-1] - tops[0]) / 2.0 + 0.05
+            lo = min(tops) + pair_eps
+            query = dataclasses.replace(base, eps=pair_eps, window=(lo, lo + 0.5))
+            potentials = draw_values(query.distribution, query.prepared.boxes, 31, [trial])
+            boundary += check(query, potentials)[1]
+    assert boundary == 60
+
+
 @pytest.mark.parametrize("name", sorted(_ROUTE_QUERIES))
 def test_trial_blocks_decide_as_single_trials(monkeypatch, name):
     # A block's count is the sum of its single-trial counts, and it sends
@@ -866,11 +907,34 @@ def _config_row(name, L):
         ("two_volume_edge", 3, 371, 2**14),
         ("variable_edge_weak_coupling", 2, 3, 2**5),
         ("variable_edge_weak_coupling", 3, 14, 2**7),
+        ("variable_edge_weak_coupling", 4, 75, 2**9),
+        ("two_volume_edge", 4, 2353, 2**16),
         ("fixed_band_center", 8, 34862, 2**17),
     ],
 )
 def test_exact_probability_of_shipped_rows(name, L, successes, fields):
     assert exact_probability(_config_row(name, L)) == Fraction(successes, fields)
+
+
+def test_two_volume_edge_block_solves_each_distinct_box_row_once(monkeypatch):
+    # a full L = 2 block of the two-volume edge row (the row perfbench's
+    # edge_pair workload runs) has 2 boxes of 5 Bernoulli sites per trial,
+    # so its box rows take at most 2^5 patterns; one stack solves each once
+    query = _config_row("two_volume_edge", 2)
+    prepared = query.prepared
+    potentials = draw_values(query.distribution, prepared.boxes, 7, np.arange(prepared.block))
+    assert potentials.shape == (655, 2, 5)
+    sizes = []
+
+    def recording(a):
+        sizes.append(len(a))
+        return eigvalsh(a)
+
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    decide(query, potentials)
+    assert sizes == [len({row.tobytes() for row in potentials.reshape(-1, 5)})]
+    assert sizes[0] <= 32
 
 
 def test_band_center_row_decides_without_dense_solves(monkeypatch):

@@ -5,7 +5,9 @@ The config document is plain JSON with three required sections (``model``,
 energy sweep; see the README for the full schema.  Non-finite numbers
 (``NaN``, ``Infinity``, or a literal such as ``1e999`` that overflows) and
 values of the wrong type are rejected while parsing, with a ConfigError
-that names the key.
+that names the key.  So is a key that no section knows, which would
+otherwise leave a misspelled optional key at its default; keys that
+start with ``_`` are notes and are ignored.
 """
 
 import json
@@ -83,6 +85,19 @@ def _get(section: dict, key: str, where: str):
     return section[key]
 
 
+def _only(section: dict, where: str, *keys: str) -> dict:
+    """``section``, or a ConfigError naming a key that is not one of ``keys``.
+
+    Keys that start with ``_`` are notes and always allowed.
+    """
+    for key in section:
+        if key not in keys and not key.startswith("_"):
+            raise ConfigError(
+                f"unknown key {key!r} in section {where!r}; known keys: {', '.join(keys)}"
+            )
+    return section
+
+
 def _show(value) -> str:
     text = repr(value)
     return text if len(text) <= 40 else text[:37] + "..."
@@ -136,17 +151,20 @@ def _parse_distribution(obj: dict) -> DistributionSpec:
     where = "model.distribution"
     kind = _get(obj, "kind", where)
     if kind == "bernoulli":
+        _only(obj, where, "kind", "p", "lo", "hi")
         return DistributionSpec.bernoulli(
             p=_typed(float, obj.get("p", 0.5), f"{where}.p"),
             lo=_typed(float, obj.get("lo", 0.0), f"{where}.lo"),
             hi=_typed(float, obj.get("hi", 1.0), f"{where}.hi"),
         )
     if kind == "uniform":
+        _only(obj, where, "kind", "lo", "hi")
         return DistributionSpec.uniform(
             _value(float, obj, "lo", where),
             _value(float, obj, "hi", where),
         )
     if kind == "finite":
+        _only(obj, where, "kind", "values", "weights")
         return DistributionSpec.finite(
             _numbers(float, _get(obj, "values", where), f"{where}.values"),
             _numbers(float, _get(obj, "weights", where), f"{where}.weights"),
@@ -158,8 +176,10 @@ def _parse_interaction(obj: dict) -> InteractionSpec:
     where = "model.interaction"
     kind = _get(obj, "kind", where)
     if kind == "none":
+        _only(obj, where, "kind")
         return InteractionSpec.none()
     if kind == "pair_contact":
+        _only(obj, where, "kind", "range", "amplitude")
         return InteractionSpec.pair_contact(
             _value(int, obj, "range", where),
             _value(float, obj, "amplitude", where),
@@ -181,9 +201,9 @@ def _finite_float(literal: str) -> float:
 def parse_config(text: str) -> ExperimentConfig:
     """The config document as an ExperimentConfig.
 
-    Raises ConfigError for invalid JSON, a missing key, a section that is
-    not an object, or a value of the wrong type; ``validate_config`` then
-    checks the values.
+    Raises ConfigError for invalid JSON, a missing or unknown key, a
+    section that is not an object, or a value of the wrong type;
+    ``validate_config`` then checks the values.
     """
     try:
         doc = json.loads(text, parse_float=_finite_float, parse_constant=_reject_non_finite)
@@ -191,14 +211,25 @@ def parse_config(text: str) -> ExperimentConfig:
         raise
     except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to convert
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    doc = _object(doc, "config root")
-    model = _object(_get(doc, "model", "config"), "model")
-    wegner = _object(_get(doc, "wegner", "config"), "wegner")
-    run = _object(_get(doc, "run", "config"), "run")
+    doc = _only(_object(doc, "config root"), "config", "model", "wegner", "run", "sweep")
+    model = _only(
+        _object(_get(doc, "model", "config"), "model"),
+        "model", "n", "d", "L_list", "distribution", "interaction", "h",
+    )
+    wegner = _only(
+        _object(_get(doc, "wegner", "config"), "wegner"),
+        "wegner", "beta", "sigma", "L0", "q", "E0", "half_width",
+    )
+    # ``workers`` sized the thread pool that runs no longer use; configs that
+    # still carry it keep parsing, and it changes nothing.
+    run = _only(
+        _object(_get(doc, "run", "config"), "run"),
+        "run", "event", "trials", "seed", "offset", "workers",
+    )
     offset = run.get("offset")
     sweep = doc.get("sweep")
     if sweep is not None:
-        sweep = _object(sweep, "sweep")
+        sweep = _only(_object(sweep, "sweep"), "sweep", "e_min", "e_max", "points", "steps")
     return ExperimentConfig(
         model=ModelConfig(
             n=_value(int, model, "n", "model"),

@@ -8,6 +8,11 @@ This keeps the h=0 operator an exact Kronecker sum of the n single-particle
 Hamiltonians, which the tensor module relies on.  The disorder enters as an
 (n, side^d) potential array, V at each particle's single-particle cube
 points, so the diagonal is that Kronecker sum of the rows plus h*U.
+
+``CubeAssembly.eigenvalues`` solves a whole block of such operators: it
+forms every diagonal at once, solves each distinct one once and never
+holds more than ``_BLOCK_ELEMENTS`` floats of dense matrices (or a
+single matrix, when one alone is larger).
 """
 
 from dataclasses import dataclass
@@ -18,6 +23,7 @@ from .errors import CapacityError
 from .lattice import Cube, coords_array
 
 SCAN_LIMIT = 1 << 22
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -200,7 +206,8 @@ class CubeAssembly:
 
     Holds the constant 2nd, the read-only hopping triples and ``coupling``,
     the read-only h*U over the cube sites (None when h*U is identically
-    zero).  ``matrix`` adds the particle potentials as a Kronecker sum.
+    zero).  ``matrix`` adds one instance's particle potentials as a
+    Kronecker sum; ``eigenvalues`` solves a block of instances.
     """
 
     kinetic: float
@@ -223,20 +230,56 @@ class CubeAssembly:
             coupling=coupling,
         )
 
-    def matrix(self, potentials: np.ndarray) -> SymMatrix:
-        """H for per-particle potentials, an (n, side^d) array.
+    def diagonals(self, potentials: np.ndarray) -> np.ndarray:
+        """The (..., side^(nd)) diagonals for (..., n, side^d) potentials.
 
-        Row i holds V at particle i's single-particle cube points in
-        lexicographic order, which is the order of digit i of the cube
-        enumeration.
+        Row i of an instance holds V at particle i's single-particle cube
+        points in lexicographic order, which is the order of digit i of
+        the cube enumeration.
         """
         # Kronecker sum: particle i's potential varies along flat-index digit i.
-        diag = self.kinetic + potentials[0]
-        for v in potentials[1:]:
-            diag = np.add.outer(diag, v).ravel()
+        diag = self.kinetic + potentials[..., 0, :]
+        for i in range(1, potentials.shape[-2]):
+            diag = diag[..., :, None] + potentials[..., None, i, :]
+            diag = diag.reshape(diag.shape[:-2] + (diag.shape[-2] * diag.shape[-1],))
         if self.coupling is not None:
             diag = diag + self.coupling
-        return SymMatrix(diag, self.rows, self.cols, self.vals)
+        return diag
+
+    def matrix(self, potentials: np.ndarray) -> SymMatrix:
+        """H for one instance's per-particle potentials, an (n, side^d) array."""
+        return SymMatrix(self.diagonals(potentials), self.rows, self.cols, self.vals)
+
+    def eigenvalues(self, potentials: np.ndarray) -> np.ndarray:
+        """The ascending eigenvalues of H for each instance of a block.
+
+        ``potentials`` has shape (..., n, side^d); the result has shape
+        (..., dim), each row bitwise ``full_spectrum(self.matrix(p))`` of
+        its instance.  The diagonals are keyed on their bits, so each
+        distinct operator is solved once and every repeat gathers its
+        result; under a finite-support measure a block repeats them.  The
+        distinct operators are solved in stacked ``eigvalsh`` calls of at
+        most _BLOCK_ELEMENTS floats each, or of one matrix when a single
+        one is larger; each matrix of a stacked call is bitwise its own
+        solve.
+        """
+        diag = self.diagonals(np.asarray(potentials, dtype=np.float64))
+        dim = diag.shape[-1]
+        flat = np.ascontiguousarray(diag).reshape(-1, dim)
+        keys = flat.view(np.dtype((np.void, flat.itemsize * dim)))[:, 0]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        distinct = flat[first]
+        upper, lower = self.rows * dim + self.cols, self.cols * dim + self.rows
+        solved = np.empty_like(distinct)
+        chunk = max(1, _BLOCK_ELEMENTS // (dim * dim))
+        for start in range(0, len(distinct), chunk):
+            part = distinct[start : start + chunk]
+            stack = np.zeros((len(part), dim * dim))
+            stack[:, upper] = self.vals
+            stack[:, lower] = self.vals
+            stack[:, :: dim + 1] = part
+            solved[start : start + chunk] = np.linalg.eigvalsh(stack.reshape(-1, dim, dim))
+        return solved[inverse].reshape(diag.shape)
 
 
 def build_hamiltonian(

@@ -14,7 +14,8 @@ campaign decides its trials in blocks.  ``evaluate_event`` draws a block's
 (trials, k, side^d) box potentials in one hash call and ``decide`` turns
 them into one decision per trial.  The block makes one stacked solve of
 the distinct single-particle operators among its trials' k boxes (a
-finite-support measure repeats them), gathers each cube's n rows of
+finite-support measure repeats them), through the one-particle cube's
+``CubeAssembly.eigenvalues``, gathers each cube's n rows of
 eigenvalues and forms the cubes' sumset spectra, unsorted (the exact
 h = 0 spectra, moved by at most max|h*U| under weak coupling, by Weyl;
 for n = 1 a cube is its own single box, so its sums are its spectrum).
@@ -36,7 +37,7 @@ on the distinct lattice points of the boxes and decides each through
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -44,11 +45,11 @@ import numpy as np
 
 from .errors import DistributionError
 from .hamiltonian import (
+    _BLOCK_ELEMENTS,
     CubeAssembly,
     InteractionSpec,
     build_hamiltonian,  # noqa: F401  (perfbench/spans.py wraps wegner.build_hamiltonian by name)
     interaction_sup_norm,
-    potential_array,
 )
 from .lattice import Cube, Site
 from .randomfield import (
@@ -58,12 +59,11 @@ from .randomfield import (
     support_sup,
     validate,
 )
-from .spectral import DENSE_LIMIT, Spectrum, dist_to_spectrum, full_spectrum
-from .tensor import SumsetAssembly, unsorted_sums
+from .spectral import DENSE_LIMIT, Spectrum, full_spectrum
+from .tensor import particle_assembly, unsorted_sums
 
 _WILSON_Z = 1.96
 _TOLERANCE = 1e-10
-_BLOCK_ELEMENTS = 1 << 15
 _EXACT_FIELDS = 1 << 20
 
 
@@ -169,32 +169,46 @@ def delta0(sigma: float, L0: int, beta: float) -> float:
 
 @dataclass(frozen=True)
 class PerturbationCheck:
-    """Outcome of the resolvent-identity and stability checks on one instance."""
+    """Outcome of the resolvent-identity and stability checks on a block.
 
-    ok: bool
-    skipped: bool
-    failed_clause: str | None
-    energy: float
-    h: float
+    Every array holds one entry per instance: ``ok`` and ``skipped`` are
+    bools, ``failed_clause`` is the name of the first violated clause or
+    None (an object array), and ``energy``, ``h``, ``dist_free`` and
+    ``dist_coupled`` are floats.  ``u_norm`` and ``threshold`` belong to
+    the cube and hold for the whole block.
+    """
+
+    ok: np.ndarray
+    skipped: np.ndarray
+    failed_clause: np.ndarray
+    energy: np.ndarray
+    h: np.ndarray
     u_norm: float
     threshold: float
-    dist_free: float
-    dist_coupled: float
+    dist_free: np.ndarray
+    dist_coupled: np.ndarray
+
+
+def _distances(eigenvalues: np.ndarray, energy: np.ndarray) -> np.ndarray:
+    """min over eigenvalues of |lambda - E|, one per row of ``eigenvalues``."""
+    return np.min(np.abs(eigenvalues - energy[:, None]), axis=-1)
 
 
 def perturbation_check(
     cube: Cube,
     potentials: np.ndarray,
     inter: InteractionSpec,
-    h: float,
-    energy: float,
+    h,
+    energy,
     sigma: float,
     beta: float,
     L0: int,
 ) -> PerturbationCheck:
-    """Verify the weak-coupling stability of resonances on one instance.
+    """Verify the weak-coupling stability of resonances on a block of instances.
 
-    ``potentials`` is the cube's (n, side^d) potential array.
+    ``potentials`` is a (T, n, side^d) block of the cube's potential
+    arrays; ``h`` and ``energy`` are numbers or (T,) arrays, one per
+    instance.  A single instance is a block of one.
     Clause (a), the second-resolvent-identity norm bound: with G = (H-E)^-1
     and its norm 1/dist for self-adjoint H,
 
@@ -206,45 +220,63 @@ def perturbation_check(
             implies  dist(E, spec(H_h)) >= (1/2) e^(-sigma L0^beta),
 
     which eigenvalue perturbation (Weyl) guarantees for every |h| below
-    h_star.  Returns the first violated clause with all computed
-    quantities; an instance with a divergent resolvent is skipped.
+    h_star.  Both spectra come from ``CubeAssembly.eigenvalues``: H_0 from
+    the uncoupled assembly, H_h from one assembly per distinct h, so each
+    distinct operator of the block is solved once.  Reports each
+    instance's first violated clause with all computed quantities; an
+    instance with a divergent resolvent is skipped.  Raises ValueError
+    when some |h| is not below h_star.
     """
+    potentials = np.asarray(potentials, dtype=np.float64)
+    shape = (cube.center.n, cube.side**cube.center.d)
+    if potentials.ndim != 3 or potentials.shape[1:] != shape:
+        raise ValueError(
+            f"potentials must have shape (instances, n, side^d) = (T, {shape[0]}, {shape[1]}), "
+            f"got {potentials.shape}"
+        )
+    count = len(potentials)
+    h = np.broadcast_to(np.asarray(h, dtype=np.float64), (count,))
+    energy = np.broadcast_to(np.asarray(energy, dtype=np.float64), (count,))
     u_norm = interaction_sup_norm(cube, inter)
     bound = h_star(u_norm, sigma, L0, beta)
-    if abs(h) >= bound:
-        raise ValueError(f"|h| = {abs(h)} is not below h_star = {bound}")
+    strongest = float(np.max(np.abs(h), initial=0.0))
+    if strongest >= bound:
+        raise ValueError(f"|h| = {strongest} is not below h_star = {bound}")
     threshold = math.exp(-sigma * L0**beta)
-    potentials = potential_array(cube, potentials)
-    assembly = CubeAssembly.of(cube, inter, h)
-    h_free = replace(assembly, coupling=None).matrix(potentials)
-    h_coupled = assembly.matrix(potentials)
-    dist_free = dist_to_spectrum(h_free, energy)
-    dist_coupled = dist_to_spectrum(h_coupled, energy)
+    dist_free = _distances(CubeAssembly.of(cube, inter, 0.0).eigenvalues(potentials), energy)
+    dist_coupled = np.empty(count)
+    for value in np.unique(h):
+        at = h == value
+        coupled = CubeAssembly.of(cube, inter, float(value)).eigenvalues(potentials[at])
+        dist_coupled[at] = _distances(coupled, energy[at])
 
-    def result(ok, skipped=False, clause=None):
-        return PerturbationCheck(
-            ok=ok,
-            skipped=skipped,
-            failed_clause=clause,
-            energy=energy,
-            h=h,
-            u_norm=u_norm,
-            threshold=threshold,
-            dist_free=dist_free,
-            dist_coupled=dist_coupled,
-        )
-
-    if dist_free == 0.0 or dist_coupled == 0.0:
-        return result(ok=False, skipped=True)
+    skipped = (dist_free == 0.0) | (dist_coupled == 0.0)
     slack = 1e-9
-    norm_free = 1.0 / dist_free
-    norm_coupled = 1.0 / dist_coupled
-    rhs = norm_free + abs(h) * u_norm * norm_free * norm_coupled
-    if norm_coupled > rhs * (1.0 + slack):
-        return result(ok=False, clause="norm_inequality")
-    if dist_free > threshold and dist_coupled < 0.5 * threshold * (1.0 - slack):
-        return result(ok=False, clause="distance_stability")
-    return result(ok=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norm_free = 1.0 / dist_free
+        norm_coupled = 1.0 / dist_coupled
+        rhs = norm_free + np.abs(h) * u_norm * norm_free * norm_coupled
+        norm_fails = ~skipped & (norm_coupled > rhs * (1.0 + slack))
+    stability_fails = (
+        ~skipped
+        & ~norm_fails
+        & (dist_free > threshold)
+        & (dist_coupled < 0.5 * threshold * (1.0 - slack))
+    )
+    clause = np.full(count, None, dtype=object)
+    clause[norm_fails] = "norm_inequality"
+    clause[stability_fails] = "distance_stability"
+    return PerturbationCheck(
+        ok=~(skipped | norm_fails | stability_fails),
+        skipped=skipped,
+        failed_clause=clause,
+        energy=energy,
+        h=h,
+        u_norm=u_norm,
+        threshold=threshold,
+        dist_free=dist_free,
+        dist_coupled=dist_coupled,
+    )
 
 
 def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
@@ -276,16 +308,17 @@ class PreparedQuery(NamedTuple):
     (single-particle cubes) of the query's cubes and ``box_of`` the
     (cubes, n) box index of each particle, so ``boxes[box_of]`` holds each
     cube's particle points.  ``assemblies`` holds one CubeAssembly per
-    cube.  ``sumset`` solves the single-particle operators of the boxes,
-    and ``margin`` bounds how far a sumset eigenvalue and the rank-matched
-    dense eigenvalue of the same cube can lie apart.  ``block`` is the
-    number of trials a campaign decides at once.
+    cube.  ``box`` is the one-particle cube's CubeAssembly, which solves
+    the single-particle operators of the boxes, and ``margin`` bounds how
+    far a sumset eigenvalue and the rank-matched dense eigenvalue of the
+    same cube can lie apart.  ``block`` is the number of trials a campaign
+    decides at once.
     """
 
     boxes: np.ndarray
     box_of: np.ndarray
     assemblies: tuple[CubeAssembly, ...]
-    sumset: SumsetAssembly
+    box: CubeAssembly
     margin: float
     block: int
 
@@ -337,11 +370,11 @@ class EventQuery:
         box_of = box_of.reshape(points.shape[:2])
         boxes.flags.writeable = box_of.flags.writeable = False
         assemblies = tuple(CubeAssembly.of(c, self.interaction, self.h) for c in cubes)
-        sumset = SumsetAssembly.of(self.d, self.L)
+        box = particle_assembly(self.d, self.L)
         k, m = boxes.shape[:2]
         block = max(1, _BLOCK_ELEMENTS // max(k * m * m, len(cubes) * m**self.n))
         margin = _margin(self, assemblies)
-        return PreparedQuery(boxes, box_of, assemblies, sumset, margin, block)
+        return PreparedQuery(boxes, box_of, assemblies, box, margin, block)
 
 
 def _diagonal_bound(query: EventQuery) -> float:
@@ -475,7 +508,7 @@ def decide(query: EventQuery, potentials: np.ndarray) -> np.ndarray:
     """
     prepared = query.prepared
     upper = query.eps + prepared.margin
-    singles = prepared.sumset.eigenvalues(potentials)
+    singles = prepared.box.eigenvalues(potentials[..., None, :])
     sums = unsorted_sums(singles[:, prepared.box_of])
     margin = _sums_margin(query, sums, upper)
     decisions = margin <= query.eps - prepared.margin

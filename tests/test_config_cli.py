@@ -181,6 +181,57 @@ def test_config_missing_key():
         parse_config(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    ("section", "old", "new", "doc"),
+    [
+        ("config", "run", "runs", make_config()),
+        ("model", "h", "hh", make_config()),
+        ("model.distribution", "p", "prob", make_config()),
+        ("model.distribution", "hi", "high", make_config(
+            **{"model.distribution": {"kind": "uniform", "lo": 0.0, "hi": 1.0}})),
+        ("model.distribution", "weights", "weight", make_config(
+            **{"model.distribution": {"kind": "finite", "values": [0, 1], "weights": [0.5, 0.5]}})),
+        ("model.interaction", "range", "radius", make_config(
+            **{"model.interaction": {"kind": "pair_contact", "range": 0, "amplitude": 1.0}})),
+        ("wegner", "half_width", "halfwidth", make_config()),
+        ("run", "seed", "sead", make_config()),
+        ("sweep", "steps", "step", {
+            **make_config(), "sweep": {"e_min": 0.0, "e_max": 1.0, "points": 3, "steps": 1000}}),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_config_rejects_unknown_keys(section, old, new, doc):
+    # one renamed key per section: the error names the key and the section;
+    # the same key with a leading underscore is a note and parses
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    if section != "config":
+        for part in section.split("."):
+            parent = parent[part]
+    parent["_" + old] = parent[old]
+    parse_config(json.dumps(doc))
+    parent[new] = parent.pop(old)
+    with pytest.raises(ConfigError, match=rf"unknown key '{new}' in section '{section}'"):
+        parse_config(json.dumps(doc))
+
+
+def test_run_rejects_a_misspelled_key_before_sampling(tmp_path, monkeypatch):
+    doc = json.loads((REPO / "configs" / "variable_edge_weak_coupling.json").read_text())
+    doc["model"]["hh"] = doc["model"].pop("h")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(cli, "mc_estimate", no_sampling)
+    result = CliRunner().invoke(main, ["run", "--config", str(path), "--out", str(out)])
+    assert result.exit_code != 0
+    assert "unknown key 'hh' in section 'model'" in result.output
+    assert not out.exists()
+
+
 def test_config_violations_reported():
     doc = make_config(**{"model.L_list": [0], "run.trials": 0})
     config = parse_config(json.dumps(doc))

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from wegnerlab.hamiltonian import (
+    _BLOCK_ELEMENTS,
+    CubeAssembly,
     InteractionSpec,
     SymMatrix,
     build_hamiltonian,
@@ -248,3 +250,94 @@ def test_square_lattice_spectrum_separates():
     ev1 = full_spectrum(build_hamiltonian(chain, zero_field(chain), NONE, 0.0)).eigenvalues
     expected = np.sort(np.add.outer(ev1, ev1).ravel())
     assert np.allclose(ev2, expected, atol=1e-10)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _recorded_eigvalsh(monkeypatch):
+    """Record the shape of each np.linalg.eigvalsh call."""
+    shapes = []
+
+    def recording(a):
+        shapes.append(a.shape)
+        return eigvalsh(a)
+
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return shapes
+
+
+@pytest.mark.parametrize(
+    ("n", "d", "L", "coupled"),
+    [(1, 1, 3, False), (1, 2, 1, False), (2, 1, 2, False), (2, 1, 2, True),
+     (2, 2, 1, True), (3, 1, 1, False), (3, 1, 1, True)],
+)
+def test_cube_assembly_eigenvalues_are_bitwise_the_dense_spectra(monkeypatch, n, d, L, coupled):
+    # a (trials, 2, n, m) block with Bernoulli repeats and rows that differ
+    # only in -0.0 against 0.0: every row is bitwise full_spectrum of its
+    # own matrix, and the stacked calls keep to the element budget
+    cube = Cube(Site(n, d, (0,) * (n * d)), L)
+    inter = InteractionSpec.pair_contact(0, 1.0) if coupled else NONE
+    assembly = CubeAssembly.of(cube, inter, 0.01 if coupled else 0.0)
+    assert (assembly.coupling is not None) == coupled
+    block = draw_values(BERNOULLI, cube.particle_points(), 5, np.arange(60))
+    block = np.stack([block, np.where(block == 0.0, -0.0, block)], axis=1)
+    assert np.any(np.signbit(block)) and not np.array_equal(_bits(block[:, 0]), _bits(block[:, 1]))
+    shapes = _recorded_eigvalsh(monkeypatch)
+    got = assembly.eigenvalues(block)
+    assert got.shape == (60, 2, cube.site_count)
+    dim = cube.site_count
+    assert all(k * dim * dim <= _BLOCK_ELEMENTS or k == 1 for k, _, _ in shapes)
+    solved = sum(k for k, _, _ in shapes)
+    assert solved <= len(np.unique(_bits(assembly.diagonals(block)).reshape(120, -1), axis=0))
+    shapes.clear()
+    for t, c in np.ndindex(60, 2):
+        want = full_spectrum(assembly.matrix(block[t, c])).eigenvalues
+        assert np.array_equal(_bits(got[t, c]), _bits(want)), (t, c)
+
+
+def test_cube_assembly_eigenvalues_split_distinct_rows_into_budget_chunks(monkeypatch):
+    # 40 distinct uniform rows of dim 49 take four stacked calls of at most
+    # 2^15 floats; a dim 183 matrix alone exceeds the budget and is solved
+    # on its own
+    cube = Cube(Site(2, 1, (0, 0)), 3)
+    assembly = CubeAssembly.of(cube, InteractionSpec.pair_contact(0, 1.0), -0.02)
+    block = draw_values(DistributionSpec.uniform(0.0, 2.0), cube.particle_points(), 9, np.arange(40))
+    shapes = _recorded_eigvalsh(monkeypatch)
+    got = assembly.eigenvalues(block)
+    assert shapes == [(13, 49, 49)] * 3 + [(1, 49, 49)]
+    for t in range(40):
+        want = full_spectrum(assembly.matrix(block[t])).eigenvalues
+        assert np.array_equal(_bits(got[t]), _bits(want)), t
+    chain = Cube(Site(1, 1, (0,)), 91)
+    single = CubeAssembly.of(chain, NONE, 0.0)
+    rows = draw_values(BERNOULLI, chain.particle_points(), 3, np.arange(3))
+    shapes.clear()
+    got = single.eigenvalues(rows)
+    assert shapes == [(1, 183, 183)] * 3
+    for t in range(3):
+        assert np.array_equal(_bits(got[t]), _bits(full_spectrum(single.matrix(rows[t])).eigenvalues))
+
+
+def test_cube_assembly_eigenvalues_of_an_empty_block(monkeypatch):
+    cube = Cube(Site(2, 1, (0, 0)), 1)
+    assembly = CubeAssembly.of(cube, InteractionSpec.pair_contact(0, 1.0), 0.01)
+    shapes = _recorded_eigvalsh(monkeypatch)
+    got = assembly.eigenvalues(np.empty((0, 4, 2, 3)))
+    assert got.shape == (0, 4, 9) and shapes == []
+
+
+def test_cube_assembly_matrix_is_the_block_diagonal():
+    # matrix() of one instance carries the diagonal the block solve keys on
+    cube = Cube(Site(3, 1, (0, 1, -1)), 1)
+    assembly = CubeAssembly.of(cube, InteractionSpec.pair_contact(0, 1.0), 0.3)
+    block = draw_values(DistributionSpec.uniform(-1.0, 1.0), cube.particle_points(), 4, np.arange(5))
+    diagonals = assembly.diagonals(block)
+    for t in range(5):
+        assert np.array_equal(_bits(assembly.matrix(block[t]).diag), _bits(diagonals[t]))
+        assert np.array_equal(
+            assembly.matrix(block[t]).dense(),
+            build_hamiltonian(cube, block[t], InteractionSpec.pair_contact(0, 1.0), 0.3).dense(),
+        )

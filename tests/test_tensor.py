@@ -5,7 +5,7 @@ from wegnerlab.hamiltonian import InteractionSpec, build_hamiltonian
 from wegnerlab.lattice import Cube, Site
 from wegnerlab.randomfield import DistributionSpec, draw_values, sample_field
 from wegnerlab.spectral import full_spectrum
-from wegnerlab.tensor import SumsetAssembly, sorted_sums, verify_decomposition
+from wegnerlab.tensor import particle_assembly, sorted_sums, verify_decomposition
 
 
 def test_sumset_basic():
@@ -130,12 +130,12 @@ def test_sumset_block_is_bitwise_the_per_cube_spectra():
     # a (trials, cubes, n, m) block gives each cube the sorted sums of its
     # own single-particle solves, bit for bit, and nothing else
     for d, L, n in ((1, 2, 2), (2, 1, 2), (1, 1, 3)):
-        assembly = SumsetAssembly.of(d, L)
+        assembly = particle_assembly(d, L)
         cube = Cube(Site(n, d, (0,) * (n * d)), L)
         points = np.stack([cube.particle_points()] * 2)
         trials = np.arange(7)
         block = draw_values(DistributionSpec.uniform(0.0, 2.0), points, 3, trials)
-        sums = sorted_sums(assembly.eigenvalues(block))
+        sums = sorted_sums(assembly.eigenvalues(block[..., None, :]))
         assert sums.shape == (7, 2, cube.site_count)
         assert np.all(np.diff(sums, axis=-1) >= 0)
         none = InteractionSpec.none()
@@ -148,16 +148,17 @@ def test_sumset_block_is_bitwise_the_per_cube_spectra():
                 for i in range(n)
             ]
             assert np.array_equal(sums[t, c], sorted_sums(singles))
-            assert np.array_equal(sums[t, c], sorted_sums(assembly.eigenvalues(v)))
+            assert np.array_equal(sums[t, c], sorted_sums(assembly.eigenvalues(v[:, None])))
 
 
 def _full_stack(assembly, potentials):
     """Every row of ``potentials`` given its own matrix in one stack, repeats included."""
-    m = assembly.kinetic.shape[0]
-    stack = np.empty(potentials.shape + (m,))
-    stack[...] = assembly.kinetic
-    stack.reshape(potentials.shape[:-1] + (m * m,))[..., :: m + 1] += potentials
-    return np.linalg.eigvalsh(stack)
+    m = potentials.shape[-1]
+    rows = potentials.reshape(-1, m)
+    stack = np.empty((len(rows), m, m))
+    for k, row in enumerate(rows):
+        stack[k] = assembly.matrix(row[None]).dense()
+    return np.linalg.eigvalsh(stack).reshape(potentials.shape)
 
 
 def _bitwise_equal(a, b):
@@ -185,43 +186,47 @@ def _stacked_solves(monkeypatch):
 )
 def test_box_solve_stacks_each_distinct_row_once(monkeypatch, spec, d, L):
     # a (trials, k, m) block of three boxes: Bernoulli rows repeat heavily,
-    # uniform rows never; either way the result is bitwise the full stack's
-    assembly = SumsetAssembly.of(d, L)
+    # uniform rows never; either way the result is bitwise the full stack's,
+    # and the distinct rows are solved once, in stacks of at most 2^15 floats
+    assembly = particle_assembly(d, L)
     box = Cube(Site(1, d, (0,) * d), L).particle_points()[0]
     points = np.stack([box, box + 1, box + 2])
     block = draw_values(spec, points, 5, np.arange(300))
     want = _full_stack(assembly, block)
     rows = block.reshape(-1, block.shape[-1])
     distinct = len({row.tobytes() for row in rows})
+    m = rows.shape[1]
     sizes = _stacked_solves(monkeypatch)
-    assert _bitwise_equal(assembly.eigenvalues(block), want)
-    assert sizes == [distinct]
+    assert _bitwise_equal(assembly.eigenvalues(block[..., None, :]), want)
+    chunk = (1 << 15) // (m * m)
+    assert sizes == [chunk] * (distinct // chunk) + [distinct % chunk] * (distinct % chunk > 0)
     if spec.kind == "bernoulli":
-        assert distinct <= 2 ** rows.shape[1] < len(rows)
+        assert distinct <= 2**m < len(rows)
     else:
         assert distinct == len(rows)
+        assert len(sizes) == (1 if d == 1 else 3)
 
 
 def test_box_solve_keys_rows_on_their_bits(monkeypatch):
-    # rows equal as numbers but not as bits (-0.0 against 0.0, one ulp
-    # apart) are solved apart; bitwise repeats are solved once
-    assembly = SumsetAssembly.of(1, 1)
+    # rows are keyed on the bits of their diagonals 2d + V: -0.0 against
+    # 0.0 gives the same diagonal, so the same matrix, and is solved with
+    # it; diagonals one ulp apart are solved apart; repeats are solved once
+    assembly = particle_assembly(1, 1)
     base = [0.0, 1.0, 0.5]
-    rows = np.array(
-        [base, [-0.0, 1.0, 0.5], base, [0.0, np.nextafter(1.0, 2.0), 0.5], [-0.0, 1.0, 0.5]]
-    )
+    ulp = [0.0, np.nextafter(3.0, 4.0) - 2.0, 0.5]
+    rows = np.array([base, [-0.0, 1.0, 0.5], base, ulp, [-0.0, 1.0, 0.5]])
     want = _full_stack(assembly, rows)
     sizes = _stacked_solves(monkeypatch)
-    got = assembly.eigenvalues(rows)
+    got = assembly.eigenvalues(rows[:, None])
     assert _bitwise_equal(got, want)
-    assert sizes == [3]
+    assert sizes == [2]
     for row, ev in zip(rows, got):
         assert _bitwise_equal(ev, _full_stack(assembly, row[None])[0])
 
 
 def test_box_solve_of_an_empty_block():
-    assembly = SumsetAssembly.of(1, 2)
+    assembly = particle_assembly(1, 2)
     empty = np.empty((0, 2, 5))
-    got = assembly.eigenvalues(empty)
+    got = assembly.eigenvalues(empty[..., None, :])
     assert got.shape == (0, 2, 5)
     assert _bitwise_equal(got, _full_stack(assembly, empty))

@@ -11,10 +11,16 @@ import wegnerlab.verify as verify
 import wegnerlab.wegner as wegner
 from wegnerlab.config import event_query_for, parse_config, row_seed
 from wegnerlab.errors import DistributionError
-from wegnerlab.hamiltonian import InteractionSpec, SymMatrix
+from wegnerlab.hamiltonian import (
+    CubeAssembly,
+    InteractionSpec,
+    SymMatrix,
+    build_hamiltonian,
+    interaction_sup_norm,
+)
 from wegnerlab.lattice import Cube, Site, coords_array, sup_norm
-from wegnerlab.randomfield import DistributionSpec, draw_values, sample_field
-from wegnerlab.spectral import Spectrum, full_spectrum
+from wegnerlab.randomfield import DistributionSpec, draw_values, hash_uniform01, sample_field
+from wegnerlab.spectral import Spectrum, dist_to_spectrum, full_spectrum, gershgorin_interval
 from wegnerlab.tensor import sorted_sums, unsorted_sums
 from wegnerlab.wegner import (
     EventQuery,
@@ -217,6 +223,44 @@ def test_h_star_arithmetic():
     assert h_star(2.0, 1.0, 8, 0.5) == pytest.approx(h_star(1.0, 1.0, 8, 0.5) / 2.0)
 
 
+def _scalar_two_volume_margin(sx, sy, window):
+    """The events suite's margin as a scalar loop over the candidate set."""
+    lo, hi = window
+    candidates = [lo, hi]
+    for ev in (sx.eigenvalues, sy.eigenvalues):
+        candidates.extend(v for v in ev.tolist() if lo <= v <= hi)
+    for vx in sx.eigenvalues.tolist():
+        for vy in sy.eigenvalues.tolist():
+            mid = 0.5 * (vx + vy)
+            if lo <= mid <= hi:
+                candidates.append(mid)
+    return min(
+        max(np.min(np.abs(sx.eigenvalues - e)), np.min(np.abs(sy.eigenvalues - e)))
+        for e in candidates
+    )
+
+
+def test_events_suite_margin_is_bitwise_the_scalar_loop():
+    # 10^4 instances: the events suite's dyadic draws, with exact ties,
+    # and random floats whose midpoints round
+    rng = np.random.default_rng(20260804)
+    ties = 0
+    for k in range(10**4):
+        eps = (0.25, 0.125, 0.0625)[k % 3]
+        if k % 2:
+            sx, sy = verify._dyadic_spectrum(rng), verify._dyadic_spectrum(rng)
+            window = verify._dyadic_window(rng, eps)
+        else:
+            sx, sy = (spectrum_of(*rng.uniform(-1.0, 21.0, int(rng.integers(1, 13))))
+                      for _ in range(2))
+            window = tuple(sorted(rng.uniform(0.0, 20.0, 2)))
+        got = verify._two_volume_margin(sx, sy, window)
+        want = float(_scalar_two_volume_margin(sx, sy, window))
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), k
+        ties += got == eps
+    assert ties > 0
+
+
 def test_delta0_arithmetic():
     assert delta0(1.0, 1, 0.5) == pytest.approx(0.5 * math.exp(-1.0), rel=1e-12)
     values = [delta0(1.0, L0, 0.5) for L0 in (1, 2, 4, 9)]
@@ -233,28 +277,93 @@ def _perturbation_setup():
 
 def test_perturbation_check_h_zero():
     cube, potentials, inter = _perturbation_setup()
-    result = perturbation_check(cube, potentials, inter, 0.0, 3.7, 1.0, 0.5, 3)
-    assert result.ok and not result.skipped
+    result = perturbation_check(cube, potentials[None], inter, 0.0, 3.7, 1.0, 0.5, 3)
+    assert result.ok.shape == result.skipped.shape == (1,)
+    assert result.ok[0] and not result.skipped[0]
 
 
 def test_perturbation_check_scalar_case():
-    # 1x1 cube: dist(E, spec(H_h)) = |a + h u - E| >= |a - E| - |h||u|
+    # 1x1 cube: dist(E, spec(H_h)) = |a + h u - E| >= |a - E| - |h||u|;
+    # one block of 33 energies, each instance the same potentials
     cube = Cube(Site(2, 1, (0, 0)), 0)
     potentials = sample_field(BERNOULLI, cube.particle_points(), 7, 0)
     inter = InteractionSpec.pair_contact(0, 1.0)
     bound = h_star(1.0, 1.0, 3, 0.5)
-    for k, energy in enumerate(np.linspace(0.0, 8.0, 33)):
-        result = perturbation_check(
-            cube, potentials, inter, 0.9 * bound, float(energy), 1.0, 0.5, 3
-        )
-        assert result.skipped or result.ok, (k, result)
+    energies = np.linspace(0.0, 8.0, 33)
+    block = np.repeat(potentials[None], len(energies), axis=0)
+    result = perturbation_check(cube, block, inter, 0.9 * bound, energies, 1.0, 0.5, 3)
+    for k in range(len(energies)):
+        assert result.skipped[k] or result.ok[k], (k, result)
+    assert result.skipped.any()  # an energy on the uncoupled eigenvalue
 
 
 def test_perturbation_check_requires_weak_coupling():
     cube, potentials, inter = _perturbation_setup()
     bound = h_star(1.0, 1.0, 3, 0.5)
     with pytest.raises(ValueError, match="h_star"):
-        perturbation_check(cube, potentials, inter, 1.1 * bound, 2.0, 1.0, 0.5, 3)
+        perturbation_check(cube, potentials[None], inter, 1.1 * bound, 2.0, 1.0, 0.5, 3)
+    # one strong instance in a block is enough
+    block = np.stack([potentials, potentials])
+    with pytest.raises(ValueError, match="h_star"):
+        perturbation_check(cube, block, inter, [0.0, -1.1 * bound], 2.0, 1.0, 0.5, 3)
+
+
+def _reference_perturbation_check(cube, potentials, inter, h, energy, sigma, beta, L0):
+    """One instance as the check was stated: banded distances, scalar clauses."""
+    u_norm = interaction_sup_norm(cube, inter)
+    threshold = math.exp(-sigma * L0**beta)
+    free = build_hamiltonian(cube, potentials, InteractionSpec.none(), 0.0)
+    coupled = build_hamiltonian(cube, potentials, inter, h)
+    dist_free, dist_coupled = dist_to_spectrum(free, energy), dist_to_spectrum(coupled, energy)
+    if dist_free == 0.0 or dist_coupled == 0.0:
+        return False, True, None, dist_free, dist_coupled, coupled.inf_norm()
+    norm_free, norm_coupled = 1.0 / dist_free, 1.0 / dist_coupled
+    clause = None
+    if norm_coupled > (norm_free + abs(h) * u_norm * norm_free * norm_coupled) * (1.0 + 1e-9):
+        clause = "norm_inequality"
+    elif dist_free > threshold and dist_coupled < 0.5 * threshold * (1.0 - 1e-9):
+        clause = "distance_stability"
+    return clause is None, False, clause, dist_free, dist_coupled, coupled.inf_norm()
+
+
+@pytest.mark.parametrize("seed", [20260805, 31])
+def test_block_perturbation_check_matches_the_per_instance_reference(seed):
+    # the perturbation suite's block: each instance's potentials, h and
+    # energy are bitwise those drawn alone (the per-instance Gershgorin/hash
+    # energy), and the block check agrees with the banded per-instance
+    # reference; the 1x1 cube adds skipped instances
+    cube, inter, potentials, h, energy = verify._perturbation_block(1000, seed)
+    free = CubeAssembly.of(cube, inter, 0.0)
+    bound = h_star(1.0, 1.0, 3, 0.5)
+    want = []
+    for t in range(1000):
+        v = sample_field(BERNOULLI, cube.particle_points(), seed, t)
+        assert np.array_equal(potentials[t], v)
+        assert h[t] == 0.9 * bound * (1 if t % 2 == 0 else -1)
+        lo, hi = gershgorin_interval(free.matrix(v))
+        want.append(lo + float(hash_uniform01(seed, t, [[0x45]])[0]) * (hi - lo))
+    assert np.array_equal(energy.view(np.int64), np.array(want).view(np.int64))
+    # the point cube's eigenvalue 4 + 2v (+ h) is exact; the grid hits 4 and 6
+    point = Cube(Site(2, 1, (0, 0)), 0)
+    grid = np.linspace(0.0, 8.0, 33)
+    cases = [(cube, potentials, h, energy)]
+    for v, sign in ((0.0, 1.0), (1.0, -1.0)):
+        coupling = sign * 0.9 * h_star(1.0, 1.0, 3, 0.5)
+        cases.append((point, np.full((len(grid), 2, 1), v), coupling, grid))
+    checked = skipped = 0
+    for c, block, hs, energies in cases:
+        result = perturbation_check(c, block, inter, hs, energies, 1.0, 0.5, 3)
+        hs = np.broadcast_to(hs, len(block))
+        for t in range(len(block)):
+            ok, skip, clause, dist_free, dist_coupled, norm = _reference_perturbation_check(
+                c, block[t], inter, float(hs[t]), float(energies[t]), 1.0, 0.5, 3
+            )
+            assert (result.ok[t], result.skipped[t], result.failed_clause[t]) == (ok, skip, clause)
+            assert abs(result.dist_free[t] - dist_free) <= 1e-12 * (1.0 + norm), t
+            assert abs(result.dist_coupled[t] - dist_coupled) <= 1e-12 * (1.0 + norm), t
+            checked += 1
+            skipped += skip
+    assert checked >= 1000 and skipped > 0
 
 
 def test_wilson_interval_zero_successes():
@@ -577,7 +686,7 @@ def test_prepared_query_is_cached_and_read_only():
     prepared = query.prepared
     assert query.prepared is prepared
     assert prepared.boxes[prepared.box_of].shape == (2, 2, 5, 1)
-    arrays = [prepared.boxes, prepared.box_of, prepared.sumset.kinetic]
+    arrays = [prepared.boxes, prepared.box_of, prepared.box.rows, prepared.box.cols]
     for assembly in prepared.assemblies:
         arrays += [assembly.rows, assembly.cols, assembly.vals, assembly.coupling]
     for a in arrays:
@@ -656,8 +765,8 @@ def test_box_solves_gather_bitwise_to_the_per_particle_stack():
         by_box = draw_values(query.distribution, prepared.boxes, 43, trials)
         by_particle = draw_values(query.distribution, _cube_points(query), 43, trials)
         assert np.array_equal(by_box[:, prepared.box_of], by_particle), name
-        solved = prepared.sumset.eigenvalues(by_box)[:, prepared.box_of]
-        assert np.array_equal(solved, prepared.sumset.eigenvalues(by_particle)), name
+        solved = prepared.box.eigenvalues(by_box[..., None, :])[:, prepared.box_of]
+        assert np.array_equal(solved, prepared.box.eigenvalues(by_particle[..., None, :])), name
 
 
 def _cube_points(query):
@@ -823,7 +932,7 @@ def test_sums_margin_sorts_only_the_near_trials():
     # exact two_volume_margin of the sorted sums
     def check(query, potentials):
         prepared = query.prepared
-        singles = prepared.sumset.eigenvalues(potentials)[:, prepared.box_of]
+        singles = prepared.box.eigenvalues(potentials[..., None, :])[:, prepared.box_of]
         upper = query.eps + prepared.margin
         got = wegner._sums_margin(query, unsorted_sums(singles), upper)
         full = sorted_sums(singles)
@@ -1016,3 +1125,31 @@ def test_wilson_intervals_cover_the_exact_probability():
         lo, hi = mc_estimate(query, 1000, seed).ci95
         covered += lo <= p <= hi
     assert abs(covered - 190) <= 4 * math.sqrt(200 * 0.95 * 0.05)
+
+
+def test_stacked_solves_stay_within_the_block_budget(monkeypatch):
+    # every stacked eigvalsh call of the verify suites and of full campaign
+    # blocks holds at most _BLOCK_ELEMENTS floats, or a single matrix, so
+    # no block size or suite size can raise the peak memory of a solve
+    calls = []
+
+    def recording(a):
+        calls.append(np.shape(a))
+        return eigvalsh(a)
+
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    assert all(r.passed for r in verify.run_suites())
+    queries = [_config_row("two_volume_edge", L) for L in (2, 3, 4)]
+    queries += [_config_row("variable_edge_weak_coupling", 4), _config_row("fixed_band_center", 32)]
+    queries.append(EventQuery("fixed", 1, 1, 100, BERNOULLI, InteractionSpec.none(), 0.0, 0.1,
+                              energy=2.0))
+    for query in queries:
+        block = query.prepared.block
+        potentials = draw_values(query.distribution, query.prepared.boxes, 3, np.arange(block))
+        decide(query, potentials)
+    stacked = [shape for shape in calls if len(shape) == 3]
+    assert len(stacked) > len(queries)
+    assert max(k for k, _, _ in stacked) > 1
+    for k, m, _ in stacked:
+        assert k * m * m <= wegner._BLOCK_ELEMENTS or k == 1, (k, m)

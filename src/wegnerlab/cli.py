@@ -23,6 +23,7 @@ from .config import (
     parse_config,
     row_seed,
     validate_config,
+    validate_seed,
     validate_sweep,
 )
 from .hamiltonian import SCAN_LIMIT, build_hamiltonian, write_matrix_dump
@@ -32,11 +33,15 @@ from .verify import ALL_SUITES, run_suites
 from .wegner import capacity_problems, mc_estimate, validate_query
 
 
-def _load_config(path: str):
+def _load_config(path: str, seed: int | None = None):
+    """The parsed config, with a ``--seed`` override in place of ``run.seed``."""
     try:
-        return parse_config(Path(path).read_text())
+        config = parse_config(Path(path).read_text())
     except ConfigError as exc:
         raise click.ClickException(str(exc)) from exc
+    if seed is None:
+        return config
+    return dataclasses.replace(config, run=dataclasses.replace(config.run, seed=seed))
 
 
 def _require_valid(problems):
@@ -78,9 +83,7 @@ def run(ctx, config_path, out_path, seed):
     Exit status is 0 exactly when every campaign row passes its polynomial
     threshold.
     """
-    config = _load_config(config_path)
-    if seed is not None:
-        config = dataclasses.replace(config, run=dataclasses.replace(config.run, seed=seed))
+    config = _load_config(config_path, seed)
     _require_valid(validate_config(config))
     model = config.model
     _require_valid(
@@ -176,19 +179,18 @@ def lyapunov_sweep(config_path, out_path, seed):
     Uses the model distribution (degenerate measures are allowed here for
     closed-form diagnostics) and the optional ``sweep`` config section.
     """
-    config = _load_config(config_path)
+    config = _load_config(config_path, seed)
     if config.model.d != 1:
         raise click.ClickException("lyapunov-sweep requires a d = 1 model")
     sweep = config.sweep
     if sweep is None:
         raise click.ClickException("config has no 'sweep' section")
-    _require_valid(validate_sweep(sweep))
-    base_seed = config.run.seed if seed is None else seed
+    _require_valid(validate_sweep(sweep) + validate_seed(config.run.seed))
     estimates = transfer.lyapunov_sweep(
         np.linspace(sweep.e_min, sweep.e_max, sweep.points),
         config.model.distribution,
         sweep.steps,
-        base_seed,
+        config.run.seed,
     )
     with open(out_path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -211,16 +213,15 @@ def lyapunov_sweep(config_path, out_path, seed):
 @click.option("--seed", type=int, default=None, help="Override run.seed.")
 def dump_matrix(config_path, out_path, length, trial, seed):
     """Assemble one Hamiltonian and dump its nonzeros for cross-checking."""
-    config = _load_config(config_path)
+    config = _load_config(config_path, seed)
     _require_valid(validate_config(config))
     L = config.model.L_list[0] if length is None else length
     if L < 1:
         raise click.ClickException(f"length must be >= 1, got {L}")
     model = config.model
     _require_valid(capacity_problems(model.n, model.d, L, SCAN_LIMIT, "assembly"))
-    base_seed = config.run.seed if seed is None else seed
     cube = Cube(Site(model.n, model.d, (0,) * (model.n * model.d)), L)
-    potentials = sample_field(model.distribution, cube.particle_points(), base_seed, trial)
+    potentials = sample_field(model.distribution, cube.particle_points(), config.run.seed, trial)
     matrix = build_hamiltonian(cube, potentials, model.interaction, model.h)
     with open(out_path, "w") as f:
         write_matrix_dump(matrix, f)

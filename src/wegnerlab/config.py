@@ -25,6 +25,10 @@ EVENT_KINDS = ("fixed", "variable", "two_volume")
 
 _INT64_MAX = (1 << 63) - 1
 
+# The field hash absorbs the seed as one 64-bit word, so seeds that agree
+# modulo 2^64 would draw the same fields.
+SEED_MAX = (1 << 64) - 1
+
 # The sweep holds one energy and one estimate per point in memory.
 SWEEP_POINTS_LIMIT = 1 << 20
 
@@ -301,7 +305,17 @@ def validate_config(config: ExperimentConfig) -> list[str]:
         )
     if config.sweep is not None:
         problems += validate_sweep(config.sweep)
-    return problems
+    return problems + validate_seed(config.run.seed)
+
+
+def validate_seed(seed: int) -> list[str]:
+    """The violation of a run seed outside [0, SEED_MAX], empty when in range."""
+    if 0 <= seed <= SEED_MAX:
+        return []
+    return [
+        f"run.seed (or --seed) must lie in [0, 2^64 - 1] = [0, {SEED_MAX}], the "
+        f"64-bit words the field hash absorbs; got {_show(seed)}"
+    ]
 
 
 def validate_sweep(sweep: SweepConfig) -> list[str]:

@@ -477,6 +477,43 @@ def test_dump_matrix_trial_is_a_64_bit_word(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [2**64 + 5, -1], ids=["2^64+5", "-1"])
+def test_seeds_outside_64_bits_are_rejected_before_sampling(tmp_path, monkeypatch, seed):
+    # the field hash keeps a seed's low 64 bits, so 5 and 2^64 + 5 would draw
+    # the same fields under different CSV seeds; -1 would alias 2^64 - 1
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the command started sampling")
+
+    sample_field = cli.sample_field
+    for name in ("mc_estimate", "sample_field"):
+        monkeypatch.setattr(cli, name, no_sampling)
+    monkeypatch.setattr(cli.transfer, "lyapunov_sweep", no_sampling)
+    doc = make_config()
+    doc["sweep"] = {"e_min": 1.0, "e_max": 3.0, "points": 3, "steps": 2000}
+    good = write_config(tmp_path, doc)
+    doc["run"]["seed"] = seed
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out.txt"
+    message = f"run.seed (or --seed) must lie in [0, 2^64 - 1] = [0, {2**64 - 1}]"
+    for command in ("run", "lyapunov-sweep", "dump-matrix"):
+        for args in (["--config", str(bad)], ["--config", str(good), "--seed", str(seed)]):
+            result = CliRunner().invoke(main, [command, *args, "--out", str(out)])
+            assert result.exit_code == 1, (command, result.output)
+            assert isinstance(result.exception, SystemExit)  # a violation report
+            assert "config violation" in result.output and message in result.output
+            assert f"got {seed}" in result.output
+            assert not out.exists()
+    # the range is exact, and a valid --seed overrides an invalid run.seed
+    for edge, ok in [(0, True), (2**64 - 1, True), (2**64, False), (-1, False)]:
+        doc["run"]["seed"] = edge
+        assert (validate_config(parse_config(json.dumps(doc))) == []) == ok, edge
+    monkeypatch.setattr(cli, "sample_field", sample_field)
+    args = ["dump-matrix", "--config", str(bad), "--seed", "5", "--out", str(out)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+
+
 def test_run_rejects_over_capacity_lengths_before_sampling(tmp_path):
     # n=2, d=2: L=2 gives dim 625, L=5 dim 14641 and L=6 dim 28561
     doc = make_config(**{"model.n": 2, "model.d": 2, "model.L_list": [2, 5, 6], "run.trials": 5})

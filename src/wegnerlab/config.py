@@ -224,11 +224,8 @@ def parse_config(text: str) -> ExperimentConfig:
         _object(_get(doc, "wegner", "config"), "wegner"),
         "wegner", "beta", "sigma", "L0", "q", "E0", "half_width",
     )
-    # ``workers`` sized the thread pool that runs no longer use; configs that
-    # still carry it keep parsing, and it changes nothing.
     run = _only(
-        _object(_get(doc, "run", "config"), "run"),
-        "run", "event", "trials", "seed", "offset", "workers",
+        _object(_get(doc, "run", "config"), "run"), "run", "event", "trials", "seed", "offset"
     )
     offset = run.get("offset")
     sweep = doc.get("sweep")

@@ -7,7 +7,8 @@ one: hopping terms leaving the cube are dropped, the diagonal is untouched.
 This keeps the h=0 operator an exact Kronecker sum of the n single-particle
 Hamiltonians, which the tensor module relies on.  The disorder enters as an
 (n, side^d) potential array, V at each particle's single-particle cube
-points, so the diagonal is that Kronecker sum of the rows plus h*U.
+points, so the diagonal is that Kronecker sum of the rows plus h*U
+(``unsorted_sums``, which also forms the sumset spectra).
 
 ``CubeAssembly.eigenvalues`` solves a whole block of such operators: it
 forms every diagonal at once, solves each distinct one once and never
@@ -235,13 +236,12 @@ class CubeAssembly:
 
         Row i of an instance holds V at particle i's single-particle cube
         points in lexicographic order, which is the order of digit i of
-        the cube enumeration.
+        the cube enumeration, so the diagonal is the rows' unsorted_sums
+        with 2nd added to the first row.
         """
-        # Kronecker sum: particle i's potential varies along flat-index digit i.
-        diag = self.kinetic + potentials[..., 0, :]
-        for i in range(1, potentials.shape[-2]):
-            diag = diag[..., :, None] + potentials[..., None, i, :]
-            diag = diag.reshape(diag.shape[:-2] + (diag.shape[-2] * diag.shape[-1],))
+        rows = np.array(potentials, dtype=np.float64)
+        rows[..., 0, :] += self.kinetic
+        diag = unsorted_sums(rows)
         if self.coupling is not None:
             diag = diag + self.coupling
         return diag
@@ -280,6 +280,20 @@ class CubeAssembly:
             stack[:, :: dim + 1] = part
             solved[start : start + chunk] = np.linalg.eigvalsh(stack.reshape(-1, dim, dim))
         return solved[inverse].reshape(diag.shape)
+
+
+def unsorted_sums(rows) -> np.ndarray:
+    """The Kronecker sum {sum_i rows[i, j_i]} of (..., n, m) rows, summed left to right.
+
+    The result has shape (..., m^n), duplicates retained, in the
+    lexicographic order of the index tuples (j_1, ..., j_n).
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    sums = rows[..., 0, :]
+    for i in range(1, rows.shape[-2]):
+        sums = sums[..., :, None] + rows[..., None, i, :]
+        sums = sums.reshape(sums.shape[:-2] + (sums.shape[-2] * sums.shape[-1],))
+    return sums
 
 
 def build_hamiltonian(

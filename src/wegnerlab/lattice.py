@@ -75,10 +75,6 @@ class Cube:
     def site_count(self) -> int:
         return self.side ** (self.center.n * self.center.d)
 
-    def particle_cube(self, i: int) -> "Cube":
-        """Single-particle cube C_L(x_i) as a Cube with n=1."""
-        return Cube(Site(1, self.center.d, self.center.particle(i)), self.radius)
-
     def field_region(self) -> np.ndarray:
         """Union over particles of the single-particle cube points in Z^d.
 

@@ -11,7 +11,8 @@ downstream.
 The single-particle operators are solved by the one-particle cube's
 ``CubeAssembly.eigenvalues``: a campaign passes the (trials, k, m) box
 potentials of its k distinct particle boxes, m = side^d, and gathers each
-cube's n rows of eigenvalues; ``unsorted_sums`` forms the sums and
+cube's n rows of eigenvalues; ``hamiltonian.unsorted_sums``, the
+Kronecker sum that also forms the cube diagonals, forms the sums and
 ``sorted_sums`` sorts them.  ``verify_decomposition`` composes the same
 solve and sums, so the ``tensor`` suite checks the sums a campaign trial
 decides on, against the direct solve of the whole cube.  No Spectrum
@@ -20,24 +21,8 @@ objects are built.
 
 import numpy as np
 
-from .hamiltonian import CubeAssembly, InteractionSpec
+from .hamiltonian import CubeAssembly, InteractionSpec, unsorted_sums
 from .lattice import Cube, Site
-
-
-def unsorted_sums(eigenvalues) -> np.ndarray:
-    """The multiset {sum_i lambda_(i, j_i)} over one entry of each row.
-
-    ``eigenvalues`` has shape (..., n, m): n rows of m eigenvalues for each
-    leading index.  The result has shape (..., m^n), duplicates retained,
-    in the lexicographic order of the index tuples (j_1, ..., j_n).
-    """
-    eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
-    sums = eigenvalues[..., 0, :]
-    for k in range(1, eigenvalues.shape[-2]):
-        ev = eigenvalues[..., k, :]
-        sums = sums[..., :, None] + ev[..., None, :]
-        sums = sums.reshape(sums.shape[:-2] + (sums.shape[-2] * sums.shape[-1],))
-    return sums
 
 
 def sorted_sums(eigenvalues) -> np.ndarray:

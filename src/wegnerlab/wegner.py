@@ -23,12 +23,14 @@ One vectorised pass computes each trial's signed margin on the sums, the
 smallest closeness at which its event holds there, sorting only the sums
 of the two-volume trials whose margin needs the exact pairing; a trial
 whose margin clears eps by the certified bound mu is decided by it.
-Every other trial is decided on the dense spectra of the same potentials
-by the closed comparisons, so every decision is the dense one and a
-trial's decision does not depend on the block it is drawn in.  A block
-holds at most _BLOCK_ELEMENTS floats per array: its size is that
-budget over the largest per-trial array, the single-particle stack
-k * side^(2d) or the sums cubes * side^(nd).
+The block's other trials are solved densely together, one
+``CubeAssembly.eigenvalues`` call per cube, and decided by the same
+margin on those spectra (fixed and variable kinds) or by
+two_volume_event's closed comparisons, so every decision is the dense
+one and a trial's decision does not depend on the block it is drawn in.
+A block's size is _BLOCK_ELEMENTS over its per-trial sums,
+cubes * side^(nd) floats; ``CubeAssembly.eigenvalues`` keeps each of its
+stacked solves within the same budget.
 
 For a finite-support measure, ``exact_probability`` enumerates every field
 on the distinct lattice points of the boxes and decides each through
@@ -50,6 +52,7 @@ from .hamiltonian import (
     InteractionSpec,
     build_hamiltonian,  # noqa: F401  (perfbench/spans.py wraps wegner.build_hamiltonian by name)
     interaction_sup_norm,
+    unsorted_sums,
 )
 from .lattice import Cube, Site
 from .randomfield import (
@@ -59,8 +62,12 @@ from .randomfield import (
     support_sup,
     validate,
 )
-from .spectral import DENSE_LIMIT, Spectrum, full_spectrum
-from .tensor import particle_assembly, unsorted_sums
+from .spectral import (
+    DENSE_LIMIT,
+    Spectrum,
+    full_spectrum,  # noqa: F401  (perfbench/spans.py wraps wegner.full_spectrum by name)
+)
+from .tensor import particle_assembly
 
 _WILSON_Z = 1.96
 _TOLERANCE = 1e-10
@@ -308,11 +315,12 @@ class PreparedQuery(NamedTuple):
     (single-particle cubes) of the query's cubes and ``box_of`` the
     (cubes, n) box index of each particle, so ``boxes[box_of]`` holds each
     cube's particle points.  ``assemblies`` holds one CubeAssembly per
-    cube.  ``box`` is the one-particle cube's CubeAssembly, which solves
-    the single-particle operators of the boxes, and ``margin`` bounds how
-    far a sumset eigenvalue and the rank-matched dense eigenvalue of the
-    same cube can lie apart.  ``block`` is the number of trials a campaign
-    decides at once.
+    cube, which solves the cube densely for the fallback.  ``box`` is the
+    one-particle cube's CubeAssembly, which solves the single-particle
+    operators of the boxes, and ``margin`` bounds how far a sumset
+    eigenvalue and the rank-matched dense eigenvalue of the same cube can
+    lie apart.  ``block`` is the number of trials a campaign decides at
+    once, _BLOCK_ELEMENTS over the cubes * side^(nd) sums of a trial.
     """
 
     boxes: np.ndarray
@@ -371,8 +379,7 @@ class EventQuery:
         boxes.flags.writeable = box_of.flags.writeable = False
         assemblies = tuple(CubeAssembly.of(c, self.interaction, self.h) for c in cubes)
         box = particle_assembly(self.d, self.L)
-        k, m = boxes.shape[:2]
-        block = max(1, _BLOCK_ELEMENTS // max(k * m * m, len(cubes) * m**self.n))
+        block = max(1, _BLOCK_ELEMENTS // (len(cubes) * boxes.shape[1] ** self.n))
         margin = _margin(self, assemblies)
         return PreparedQuery(boxes, box_of, assemblies, box, margin, block)
 
@@ -461,17 +468,8 @@ def validate_query(query: EventQuery) -> list[str]:
     return problems
 
 
-def _decide(query: EventQuery, spectra) -> bool:
-    """The query's event on the cubes' spectra, by the closed comparisons."""
-    if query.kind == "fixed":
-        return fixed_energy_event(spectra[0], query.energy, query.eps)
-    if query.kind == "variable":
-        return variable_energy_event(spectra[0], query.window, query.eps)
-    return two_volume_event(spectra[0], spectra[1], query.window, query.eps)
-
-
 def _sums_margin(query: EventQuery, sums: np.ndarray, bound: float) -> np.ndarray:
-    """Each trial's margin on its (cubes, N) sums, exact up to ``bound``.
+    """Each trial's margin on its (cubes, N) sums or spectra, exact up to ``bound``.
 
     The margin is the smallest closeness at which the event holds:
     interval_dist for the fixed and variable kinds, two_volume_margin for
@@ -502,9 +500,12 @@ def decide(query: EventQuery, potentials: np.ndarray) -> np.ndarray:
     within the prepared margin mu of the rank-matched sumset eigenvalue;
     each margin moves by at most mu with them, so a trial whose sums
     margin exceeds eps + mu fails on the dense spectra at eps and one
-    whose margin is at most eps - mu holds there.  Every other
-    trial is decided on the dense spectra of its cubes' potentials.
-    Either way the decision is the dense one.
+    whose margin is at most eps - mu holds there.  The other trials are
+    solved densely together, one ``CubeAssembly.eigenvalues`` call per
+    cube: the fixed and variable kinds are decided by the same margin on
+    those spectra, which is interval_dist, and the two-volume kind by
+    two_volume_event's closed comparisons.  Either way the decision is
+    the dense one.
     """
     prepared = query.prepared
     upper = query.eps + prepared.margin
@@ -512,12 +513,15 @@ def decide(query: EventQuery, potentials: np.ndarray) -> np.ndarray:
     sums = unsorted_sums(singles[:, prepared.box_of])
     margin = _sums_margin(query, sums, upper)
     decisions = margin <= query.eps - prepared.margin
-    for t in np.flatnonzero(~decisions & (margin <= upper)):
-        spectra = [
-            full_spectrum(assembly.matrix(potentials[t, of]))
-            for assembly, of in zip(prepared.assemblies, prepared.box_of)
-        ]
-        decisions[t] = _decide(query, spectra)
+    near = ~decisions & (margin <= upper)
+    if near.any():
+        fallen, cubes = potentials[near], zip(prepared.assemblies, prepared.box_of)
+        dense = np.stack([a.eigenvalues(fallen[:, of]) for a, of in cubes], axis=1)
+        if query.kind == "two_volume":
+            spectra = [[Spectrum(ev, ev.size) for ev in trial] for trial in dense]
+            decisions[near] = [two_volume_event(*xy, query.window, query.eps) for xy in spectra]
+        else:
+            decisions[near] = _sums_margin(query, dense, upper) <= query.eps
     return decisions
 
 

@@ -283,20 +283,23 @@ def test_run_writes_deterministic_csv(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_run_worker_count_does_not_change_bytes(tmp_path):
-    # a legacy run.workers key is ignored: reruns of such a config match the
-    # output of the same config without it
-    runner = CliRunner()
-    plain = write_config(tmp_path, make_config())
+def test_run_rejects_the_legacy_workers_key(tmp_path, monkeypatch):
+    # run.workers sized the removed thread pool; it is now an unknown key
+    # like any other, reported before any sampling
+    with pytest.raises(ConfigError, match="unknown key 'workers' in section 'run'"):
+        parse_config(json.dumps(make_config(**{"run.workers": 4})))
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(cli, "mc_estimate", no_sampling)
     legacy = tmp_path / "legacy.json"
     legacy.write_text(json.dumps(make_config(**{"run.workers": 4})))
-    blobs = []
-    for k, config in enumerate((legacy, legacy, plain)):
-        out = tmp_path / f"w{k}.csv"
-        result = runner.invoke(main, ["run", "--config", str(config), "--out", str(out)])
-        assert result.exit_code in (0, 1), result.output
-        blobs.append(out.read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2]
+    out = tmp_path / "w.csv"
+    result = CliRunner().invoke(main, ["run", "--config", str(legacy), "--out", str(out)])
+    assert result.exit_code != 0
+    assert "unknown key 'workers' in section 'run'" in result.output
+    assert not out.exists()
 
 
 def test_run_rejects_degenerate_distribution(tmp_path):

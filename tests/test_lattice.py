@@ -118,10 +118,3 @@ def test_field_region_is_union_of_particle_boxes():
         {(cx + x, cy + y) for cx, cy in ((0, 0), (1, -1)) for x in steps for y in steps}
     )
     assert [tuple(p) for p in square.tolist()] == expected
-
-
-def test_particle_cube():
-    cube = Cube(Site(2, 2, (0, 0, 3, 4)), 2)
-    sub = cube.particle_cube(1)
-    assert sub.center == Site(1, 2, (3, 4))
-    assert sub.radius == 2

@@ -150,9 +150,10 @@ def test_two_particle_distances_match_sumset():
     none = InteractionSpec.none()
     m = build_hamiltonian(cube, potentials, none, 0.0)
     assert m.dim == 1681 and m.banded().shape == (42, 1681)
+    factors = [Cube(Site(1, 1, cube.center.particle(i)), cube.radius) for i in range(2)]
     singles = [
-        full_spectrum(build_hamiltonian(cube.particle_cube(i), potentials[i : i + 1], none, 0.0))
-        for i in range(2)
+        full_spectrum(build_hamiltonian(f, potentials[i : i + 1], none, 0.0))
+        for i, f in enumerate(factors)
     ]
     sums = sorted_sums([single.eigenvalues for single in singles])
     gaps = np.flatnonzero(np.diff(sums) > 1e-6)

@@ -71,9 +71,10 @@ def test_sumset_count():
         DistributionSpec.bernoulli(0.5, 0.0, 1.0), cube.particle_points(), 3, 0
     )
     none = InteractionSpec.none()
+    factors = [Cube(Site(1, 1, cube.center.particle(i)), cube.radius) for i in range(2)]
     singles = [
-        full_spectrum(build_hamiltonian(cube.particle_cube(i), potentials[i : i + 1], none, 0.0))
-        for i in range(2)
+        full_spectrum(build_hamiltonian(f, potentials[i : i + 1], none, 0.0))
+        for i, f in enumerate(factors)
     ]
     s = sorted_sums([single.eigenvalues for single in singles])
     assert s.size == (2 * 2 + 1) ** 2 == cube.site_count
@@ -89,11 +90,12 @@ def test_shift_covariance():
     )
     shifted = base + 0.25
     none = InteractionSpec.none()
+    factors = [Cube(Site(1, 1, cube.center.particle(i)), 1) for i in range(2)]
 
     def sums(potentials):
         singles = [
-            full_spectrum(build_hamiltonian(cube.particle_cube(i), v[None], none, 0.0))
-            for i, v in enumerate(potentials)
+            full_spectrum(build_hamiltonian(f, v[None], none, 0.0))
+            for f, v in zip(factors, potentials)
         ]
         return sorted_sums([single.eigenvalues for single in singles])
 
@@ -107,9 +109,10 @@ def test_flipped_hopping_breaks_decomposition():
         DistributionSpec.bernoulli(0.5, 0.0, 1.0), cube.particle_points(), 17, 0
     )
     none = InteractionSpec.none()
+    factors = [Cube(Site(1, 1, cube.center.particle(i)), cube.radius) for i in range(2)]
     singles = [
-        full_spectrum(build_hamiltonian(cube.particle_cube(i), potentials[i : i + 1], none, 0.0))
-        for i in range(2)
+        full_spectrum(build_hamiltonian(f, potentials[i : i + 1], none, 0.0))
+        for i, f in enumerate(factors)
     ]
     good = sorted_sums([single.eigenvalues for single in singles])
     broken = build_hamiltonian(cube, potentials, none, 0.0).dense()
@@ -139,13 +142,12 @@ def test_sumset_block_is_bitwise_the_per_cube_spectra():
         assert sums.shape == (7, 2, cube.site_count)
         assert np.all(np.diff(sums, axis=-1) >= 0)
         none = InteractionSpec.none()
+        factors = [Cube(Site(1, d, cube.center.particle(i)), L) for i in range(n)]
         for t, c in np.ndindex(7, 2):
             v = block[t, c]
             singles = [
-                np.linalg.eigvalsh(
-                    build_hamiltonian(cube.particle_cube(i), v[i : i + 1], none, 0.0).dense()
-                )
-                for i in range(n)
+                np.linalg.eigvalsh(build_hamiltonian(f, v[i : i + 1], none, 0.0).dense())
+                for i, f in enumerate(factors)
             ]
             assert np.array_equal(sums[t, c], sorted_sums(singles))
             assert np.array_equal(sums[t, c], sorted_sums(assembly.eigenvalues(v[:, None])))

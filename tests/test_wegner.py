@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,11 +20,12 @@ from wegnerlab.hamiltonian import (
     SymMatrix,
     build_hamiltonian,
     interaction_sup_norm,
+    unsorted_sums,
 )
 from wegnerlab.lattice import Cube, Site, coords_array, sup_norm
 from wegnerlab.randomfield import DistributionSpec, draw_values, hash_uniform01, sample_field
 from wegnerlab.spectral import Spectrum, dist_to_spectrum, full_spectrum, gershgorin_interval
-from wegnerlab.tensor import sorted_sums, unsorted_sums
+from wegnerlab.tensor import sorted_sums
 from wegnerlab.wegner import (
     EventQuery,
     decay_fit,
@@ -122,9 +126,12 @@ def test_two_volume_margin_matches_brute_force():
 
 def test_two_volume_margin_decides_the_events_suite_instances():
     # the events suite's dyadic instances, boundary band included: the
-    # margin is the suite's exact margin, and margin <= eps is the event
+    # margin is the suite's exact margin, and margin <= eps is the event.
+    # The same holds for the fixed (energy at the window's left end) and
+    # variable kinds, whose margin on the dense spectra, _sums_margin,
+    # decides a campaign's fallback trials
     rng = np.random.default_rng(20260804)
-    at_boundary = 0
+    at_boundary = [0, 0, 0]
     for k in range(3000):
         eps = (0.25, 0.125, 0.0625)[k % 3]
         sx, sy = verify._dyadic_spectrum(rng), verify._dyadic_spectrum(rng)
@@ -133,8 +140,20 @@ def test_two_volume_margin_decides_the_events_suite_instances():
         assert margin == verify._two_volume_margin(sx, sy, window)
         for e in (0.25, 0.125, 0.0625, margin):
             assert (margin <= e) == two_volume_event(sx, sy, window, e), (k, e)
-        at_boundary += margin == eps
-    assert at_boundary > 0
+        at_boundary[0] += margin == eps
+        fixed = EventQuery("fixed", 1, 1, 1, BERNOULLI, InteractionSpec.none(), 0.0, eps,
+                           energy=window[0])
+        variable = dataclasses.replace(fixed, kind="variable", energy=None, window=window)
+        events = (
+            (fixed, lambda e: fixed_energy_event(sx, window[0], e)),
+            (variable, lambda e: variable_energy_event(sx, window, e)),
+        )
+        for i, (query, event) in enumerate(events, 1):
+            (margin,) = wegner._sums_margin(query, sx.eigenvalues[None, None], eps)
+            for e in (0.25, 0.125, 0.0625, margin):
+                assert (margin <= e) == event(e), (k, query.kind, e)
+            at_boundary[i] += margin == eps
+    assert min(at_boundary) > 0
     # the examples of test_two_volume_examples
     assert two_volume_margin(np.array([4.0]), np.array([6.0]), (0.0, 10.0)) == 1.0
     assert two_volume_margin(np.array([6.0]), np.array([4.0]), (5.0, 5.0)) == 1.0
@@ -788,16 +807,27 @@ def _dense_decision(query, potentials):
     return _event_on(query, [full_spectrum(a.matrix(v)) for a, v in zip(assemblies, potentials)])
 
 
-def _counting_full_spectrum(monkeypatch):
-    """Replace wegner.full_spectrum by a counting pass-through; return the count list."""
+def _recording_solves(monkeypatch):
+    """Wrap CubeAssembly.eigenvalues to record each call's (assembly, potentials)."""
     calls = []
+    solve = CubeAssembly.eigenvalues
 
-    def counting(matrix):
-        calls.append(matrix.dim)
-        return full_spectrum(matrix)
+    def recording(self, potentials):
+        calls.append((self, np.array(potentials)))
+        return solve(self, potentials)
 
-    monkeypatch.setattr(wegner, "full_spectrum", counting)
+    monkeypatch.setattr(CubeAssembly, "eigenvalues", recording)
     return calls
+
+
+def _dense_solves(query, calls):
+    """The recorded calls on the query's cube assemblies, as (cube, potentials).
+
+    These are the dense fallback's solves; the box solves go to the
+    one-particle assembly ``prepared.box``.
+    """
+    assemblies = query.prepared.assemblies
+    return [(c, rows) for solver, rows in calls for c, a in enumerate(assemblies) if solver is a]
 
 
 _UNIFORM = DistributionSpec.uniform(0.0, 2.0)
@@ -859,7 +889,7 @@ _ROUTE_QUERIES = {
 
 
 def test_sumset_route_matches_dense_composition(monkeypatch):
-    calls = _counting_full_spectrum(monkeypatch)
+    calls = _recording_solves(monkeypatch)
     decisions = fallbacks = 0
     for name, (query, trials) in _ROUTE_QUERIES.items():
         assert validate_query(query) == [], name
@@ -870,8 +900,11 @@ def test_sumset_route_matches_dense_composition(monkeypatch):
             potentials = draw_values(query.distribution, points, 29, trial)
             calls.clear()
             decided = evaluate_event(query, 29, trial)
-            fallen_back += len(calls) == cubes
-            assert len(calls) in (0, cubes)
+            dense = _dense_solves(query, calls)
+            fallen_back += len(dense) == cubes
+            assert [c for c, _ in dense] in ([], list(range(cubes)))
+            for c, rows in dense:
+                assert np.array_equal(rows, potentials[None, c]), (name, trial)
             assert decided == _dense_decision(query, potentials), (name, trial)
             successes += decided
         assert 0 < successes < trials, name  # both outcomes occur on every query
@@ -903,17 +936,24 @@ def test_sumset_route_falls_back_on_boundary_instances(monkeypatch, name):
     # two-volume window starting at the right end min(x, y) + eps of the
     # joint fattened set of the two cubes' top eigenvalues.  No certified
     # margin clears such a boundary, so the dense fallback must decide.
+    # At eps = 1/16 the boundary is an exact tie, dist = eps, on which the
+    # closed comparisons hold.
     base, _ = _ROUTE_QUERIES[name]
-    calls = _counting_full_spectrum(monkeypatch)
+    calls = _recording_solves(monkeypatch)
+    tie = 0.0625
     for trial in range(20):
         tops, potentials = _top_eigenvalues(base, 31, trial)
         x = tops[0]
+        assert (x + tie) - x == tie
         pair_eps = abs(tops[-1] - x) / 2.0 + 0.05
         instances = [
-            dataclasses.replace(base, kind="fixed", energy=x + base.eps, window=None,
-                                offset=None),
-            dataclasses.replace(base, kind="variable", energy=None,
-                                window=(x + base.eps, x + base.eps + 0.25), offset=None),
+            dataclasses.replace(base, kind="fixed", eps=eps, energy=x + eps, window=None,
+                                offset=None)
+            for eps in (base.eps, tie)
+        ] + [
+            dataclasses.replace(base, kind="variable", eps=eps, energy=None,
+                                window=(x + eps, x + eps + 0.25), offset=None)
+            for eps in (base.eps, tie)
         ]
         if base.kind == "two_volume":
             lo = min(tops) + pair_eps
@@ -921,8 +961,12 @@ def test_sumset_route_falls_back_on_boundary_instances(monkeypatch, name):
         for query in instances:
             calls.clear()
             decided = evaluate_event(query, 31, trial)
-            assert len(calls) == len(query.prepared.assemblies), (query.kind, trial)
+            dense = _dense_solves(query, calls)
+            cubes = len(query.prepared.assemblies)
+            assert [c for c, _ in dense] == list(range(cubes)), (query.kind, trial)
+            assert all(len(rows) == 1 for _, rows in dense), (query.kind, trial)
             assert decided == _dense_decision(query, potentials), (query.kind, trial)
+            assert decided or query.eps != tie, (query.kind, trial)
 
 
 def test_sums_margin_sorts_only_the_near_trials():
@@ -967,30 +1011,33 @@ def test_sums_margin_sorts_only_the_near_trials():
 @pytest.mark.parametrize("name", sorted(_ROUTE_QUERIES))
 def test_trial_blocks_decide_as_single_trials(monkeypatch, name):
     # A block's count is the sum of its single-trial counts, and it sends
-    # the same trials, in the same order, to the dense fallback: the dense
-    # solves see the same matrices.  mc_estimate cuts its trials into
-    # blocks of the prepared size; one below, at and one above that size,
-    # and any other split of the range, give the same count.
+    # the same trials, in the same order, to the dense fallback, in at
+    # most one solve per cube: the dense solves see the same potentials.
+    # mc_estimate cuts its trials into blocks of the prepared size; one
+    # below, at and one above that size, and any other split of the
+    # range, give the same count.
     query, trials = _ROUTE_QUERIES[name]
     block = query.prepared.block
-    solved = []
+    cubes = len(query.prepared.assemblies)
+    calls = _recording_solves(monkeypatch)
 
-    def recording(matrix):
-        solved.append(matrix.diag.tobytes())
-        return full_spectrum(matrix)
+    def rows_by_cube():
+        solves = _dense_solves(query, calls)
+        return [[r.tobytes() for c, rows in solves if c == k for r in rows] for k in range(cubes)]
 
-    monkeypatch.setattr(wegner, "full_spectrum", recording)
-    singles, single_solves = [], []
+    singles, single_rows = [], []
     for trial in range(max(trials, block + 1)):
-        solved.clear()
+        calls.clear()
         singles.append(evaluate_event(query, 37, trial))
-        single_solves.append(list(solved))
+        single_rows.append(rows_by_cube())
     assert set(singles) <= {0, 1}
     counts = np.concatenate([[0], np.cumsum(singles)])
 
-    solved.clear()
+    calls.clear()
     assert evaluate_event(query, 37, 0, trials) == counts[trials]
-    assert solved == [m for per_trial in single_solves[:trials] for m in per_trial]
+    assert [c for c, _ in _dense_solves(query, calls)] in ([], list(range(cubes)))
+    want = [[r for per_trial in single_rows[:trials] for r in per_trial[k]] for k in range(cubes)]
+    assert rows_by_cube() == want
     for total in (block - 1, block, block + 1):
         if total >= 1:
             assert mc_estimate(query, total, 37).successes == counts[total], total
@@ -1046,16 +1093,41 @@ def test_two_volume_edge_block_solves_each_distinct_box_row_once(monkeypatch):
     assert sizes[0] <= 32
 
 
+@pytest.mark.parametrize(
+    "name", ["variable-bernoulli-n2d1-L3-coupled", "two_volume-uniform-n2d2-L1-coupled"]
+)
+def test_block_fallback_makes_one_stacked_dense_solve_per_cube(monkeypatch, name):
+    # a full block with several fallback trials solves them all in one
+    # eigenvalues call per cube, their potentials in trial order, and
+    # every trial of the block gets the dense decision
+    query, _ = _ROUTE_QUERIES[name]
+    prepared = query.prepared
+    potentials = draw_values(query.distribution, prepared.boxes, 5, np.arange(prepared.block))
+    singles = prepared.box.eigenvalues(potentials[..., None, :])[:, prepared.box_of]
+    margin = wegner._sums_margin(query, unsorted_sums(singles), query.eps + prepared.margin)
+    near = (margin > query.eps - prepared.margin) & (margin <= query.eps + prepared.margin)
+    assert np.count_nonzero(near) > 1
+    calls = _recording_solves(monkeypatch)
+    decisions = decide(query, potentials)
+    dense = _dense_solves(query, calls)
+    assert [c for c, _ in dense] == list(range(len(prepared.assemblies)))
+    for c, rows in dense:
+        assert np.array_equal(rows, potentials[near][:, prepared.box_of[c]])
+    want = [_dense_decision(query, p[prepared.box_of]) for p in potentials]
+    assert decisions.tolist() == want
+
+
 def test_band_center_row_decides_without_dense_solves(monkeypatch):
     # every trial of the shipped n = 1, h = 0 row clears its certified
     # margin on the stacked box solve, so no trial reaches the dense path
     config = parse_config((_CONFIGS / "fixed_band_center.json").read_text())
     L = 8
     seed = row_seed(config.run.seed, L, config.model.L_list.index(L))
-    calls = _counting_full_spectrum(monkeypatch)
-    result = mc_estimate(event_query_for(config, L), config.run.trials, seed)
+    calls = _recording_solves(monkeypatch)
+    query = event_query_for(config, L)
+    result = mc_estimate(query, config.run.trials, seed)
     assert result.trials == 10000
-    assert calls == []
+    assert calls and _dense_solves(query, calls) == []
 
 
 _THREE_POINT = DistributionSpec.finite([0.0, 0.5, 1.0], [0.25, 0.5, 0.25])
@@ -1153,3 +1225,17 @@ def test_stacked_solves_stay_within_the_block_budget(monkeypatch):
     assert max(k for k, _, _ in stacked) > 1
     for k, m, _ in stacked:
         assert k * m * m <= wegner._BLOCK_ELEMENTS or k == 1, (k, m)
+
+
+def test_perfbench_tracer_installs_on_the_package():
+    # the benchmark's span recorder wraps wegner.sample_field,
+    # wegner.build_hamiltonian and wegner.full_spectrum by name, so a
+    # traced run fails to start when one of them is not in wegner
+    repo = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(str(repo / part) for part in ("src", "perfbench"))
+    code = "import spans; t = spans.Tracer(); t.install_campaign(); t.install_oracles()"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr

@@ -44,17 +44,22 @@ def gershgorin_interval(a: SymMatrix) -> tuple[float, float]:
     return float(np.min(diag - radii)), float(np.max(diag + radii))
 
 
+def require_dense(dim: int) -> None:
+    """Raise CapacityError when a dense solve of dimension ``dim`` is above DENSE_LIMIT."""
+    if dim > DENSE_LIMIT:
+        raise CapacityError(
+            f"dim {dim} exceeds the dense eigensolver limit {DENSE_LIMIT}; "
+            "use count_below or dist_to_spectrum"
+        )
+
+
 def full_spectrum(a: SymMatrix) -> Spectrum:
     """All eigenvalues by dense symmetric diagonalization.
 
     Raises CapacityError above DENSE_LIMIT; use count_below / dist_to_spectrum
     there instead.
     """
-    if a.dim > DENSE_LIMIT:
-        raise CapacityError(
-            f"dim {a.dim} exceeds the dense eigensolver limit {DENSE_LIMIT}; "
-            "use count_below or dist_to_spectrum"
-        )
+    require_dense(a.dim)
     return Spectrum(eigenvalues=np.linalg.eigvalsh(a.dense()), dim=a.dim)
 
 

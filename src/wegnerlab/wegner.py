@@ -15,22 +15,24 @@ campaign decides its trials in blocks.  ``evaluate_event`` draws a block's
 them into one decision per trial.  The block makes one stacked solve of
 the distinct single-particle operators among its trials' k boxes (a
 finite-support measure repeats them), through the one-particle cube's
-``CubeAssembly.eigenvalues``, gathers each cube's n rows of
-eigenvalues and forms the cubes' sumset spectra, unsorted (the exact
-h = 0 spectra, moved by at most max|h*U| under weak coupling, by Weyl;
-for n = 1 a cube is its own single box, so its sums are its spectrum).
-One vectorised pass computes each trial's signed margin on the sums, the
-smallest closeness at which its event holds there, sorting only the sums
-of the two-volume trials whose margin needs the exact pairing; a trial
-whose margin clears eps by the certified bound mu is decided by it.
-The block's other trials are solved densely together, one
-``CubeAssembly.eigenvalues`` call per cube, and decided by the same
-margin on those spectra (fixed and variable kinds) or by
-two_volume_event's closed comparisons, so every decision is the dense
-one and a trial's decision does not depend on the block it is drawn in.
-A block's size is _BLOCK_ELEMENTS over its per-trial sums,
-cubes * side^(nd) floats; ``CubeAssembly.eigenvalues`` keeps each of its
-stacked solves within the same budget.
+``CubeAssembly.eigenvalues``.  It then screens its trials in chunks:
+each chunk gathers each cube's n rows of eigenvalues and forms the cubes'
+sumset spectra, unsorted (the exact h = 0 spectra, moved by at most
+max|h*U| under weak coupling, by Weyl; for n = 1 a cube is its own single
+box, so its sums are its spectrum).  One vectorised pass computes each
+trial's signed margin on the sums, the smallest closeness at which its
+event holds there, sorting only the sums of the two-volume trials whose
+margin needs the exact pairing; a trial whose margin clears eps by the
+certified bound mu is decided by it.  The chunk's other trials are
+solved densely together, one ``CubeAssembly.eigenvalues`` call per cube,
+and decided by the same margin on those spectra (fixed and variable
+kinds) or by two_volume_event's closed comparisons, so every decision is
+the dense one and a trial's decision does not depend on the block or
+chunk it is drawn in.  A block's size is _BLOCK_ELEMENTS over its
+per-trial box potentials, k * side^d floats, and a chunk's is
+_BLOCK_ELEMENTS over its per-trial sums, cubes * side^(nd) floats;
+``CubeAssembly.eigenvalues`` keeps each of its stacked solves within the
+same budget.
 
 For a finite-support measure, ``exact_probability`` enumerates every field
 on the distinct lattice points of the boxes and decides each through
@@ -66,6 +68,7 @@ from .spectral import (
     DENSE_LIMIT,
     Spectrum,
     full_spectrum,  # noqa: F401  (perfbench/spans.py wraps wegner.full_spectrum by name)
+    require_dense,
 )
 from .tensor import particle_assembly
 
@@ -75,8 +78,10 @@ _EXACT_FIELDS = 1 << 20
 
 
 def _interval_dists(ev: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """dist(lambda, [lo, hi]) for every entry of ``ev``."""
-    return np.maximum(np.maximum(lo - ev, ev - hi), 0.0)
+    """dist(lambda, [lo, hi]) for every entry of ``ev``, formed in place."""
+    dist = np.subtract(lo, ev)
+    np.maximum(dist, ev - hi, out=dist)
+    return np.maximum(dist, 0.0, out=dist)
 
 
 def interval_dist(spec: Spectrum, interval: tuple[float, float]) -> float:
@@ -319,8 +324,11 @@ class PreparedQuery(NamedTuple):
     one-particle cube's CubeAssembly, which solves the single-particle
     operators of the boxes, and ``margin`` bounds how far a sumset
     eigenvalue and the rank-matched dense eigenvalue of the same cube can
-    lie apart.  ``block`` is the number of trials a campaign decides at
-    once, _BLOCK_ELEMENTS over the cubes * side^(nd) sums of a trial.
+    lie apart.  ``block`` is the number of trials a campaign draws and
+    decides at once, _BLOCK_ELEMENTS over the k * side^d box potentials of
+    a trial, and ``chunk`` the number of trials whose sums ``decide``
+    screens at once, _BLOCK_ELEMENTS over the cubes * side^(nd) sums of a
+    trial.
     """
 
     boxes: np.ndarray
@@ -329,6 +337,7 @@ class PreparedQuery(NamedTuple):
     box: CubeAssembly
     margin: float
     block: int
+    chunk: int
 
 
 @dataclass(frozen=True)
@@ -379,9 +388,10 @@ class EventQuery:
         boxes.flags.writeable = box_of.flags.writeable = False
         assemblies = tuple(CubeAssembly.of(c, self.interaction, self.h) for c in cubes)
         box = particle_assembly(self.d, self.L)
-        block = max(1, _BLOCK_ELEMENTS // (len(cubes) * boxes.shape[1] ** self.n))
+        block = max(1, _BLOCK_ELEMENTS // math.prod(boxes.shape[:2]))
+        chunk = max(1, _BLOCK_ELEMENTS // (len(cubes) * boxes.shape[1] ** self.n))
         margin = _margin(self, assemblies)
-        return PreparedQuery(boxes, box_of, assemblies, box, margin, block)
+        return PreparedQuery(boxes, box_of, assemblies, box, margin, block, chunk)
 
 
 def _diagonal_bound(query: EventQuery) -> float:
@@ -496,25 +506,43 @@ def decide(query: EventQuery, potentials: np.ndarray) -> np.ndarray:
     ``potentials`` is the (trials, k, side^d) array ``draw_values`` gives
     at the prepared boxes; cube c's (n, side^d) potentials are its rows
     ``box_of[c]``.  Each distinct box potential of the block is solved
-    once, the sums are formed unsorted, and every dense eigenvalue lies
-    within the prepared margin mu of the rank-matched sumset eigenvalue;
-    each margin moves by at most mu with them, so a trial whose sums
-    margin exceeds eps + mu fails on the dense spectra at eps and one
-    whose margin is at most eps - mu holds there.  The other trials are
-    solved densely together, one ``CubeAssembly.eigenvalues`` call per
-    cube: the fixed and variable kinds are decided by the same margin on
-    those spectra, which is interval_dist, and the two-volume kind by
-    two_volume_event's closed comparisons.  Either way the decision is
-    the dense one.
+    once, in one call.  The trials are then screened in chunks of the
+    prepared chunk size, so no chunk's sums exceed _BLOCK_ELEMENTS floats
+    (``_decide_chunk``).  Raises CapacityError, with full_spectrum's
+    message, before a fallback dense solve above DENSE_LIMIT.
+    """
+    prepared = query.prepared
+    singles = prepared.box.eigenvalues(potentials[..., None, :])
+    decisions = np.empty(len(potentials), dtype=bool)
+    for start in range(0, len(potentials), prepared.chunk):
+        part = slice(start, start + prepared.chunk)
+        decisions[part] = _decide_chunk(query, potentials[part], singles[part])
+    return decisions
+
+
+def _decide_chunk(query: EventQuery, potentials: np.ndarray, singles: np.ndarray) -> np.ndarray:
+    """The event on each trial of a chunk, from its box potentials and their eigenvalues.
+
+    The sums are formed unsorted, and every dense eigenvalue lies within
+    the prepared margin mu of the rank-matched sumset eigenvalue; each
+    margin moves by at most mu with them, so a trial whose sums margin
+    exceeds eps + mu fails on the dense spectra at eps and one whose
+    margin is at most eps - mu holds there.  The other trials are solved
+    densely together, one ``CubeAssembly.eigenvalues`` call per cube: the
+    fixed and variable kinds are decided by the same margin on those
+    spectra, which is interval_dist, and the two-volume kind by
+    two_volume_event's closed comparisons.  Either way the decision is the
+    dense one.  Raises CapacityError, as full_spectrum does, before a
+    dense solve above DENSE_LIMIT.
     """
     prepared = query.prepared
     upper = query.eps + prepared.margin
-    singles = prepared.box.eigenvalues(potentials[..., None, :])
     sums = unsorted_sums(singles[:, prepared.box_of])
     margin = _sums_margin(query, sums, upper)
     decisions = margin <= query.eps - prepared.margin
     near = ~decisions & (margin <= upper)
     if near.any():
+        require_dense(sums.shape[-1])
         fallen, cubes = potentials[near], zip(prepared.assemblies, prepared.box_of)
         dense = np.stack([a.eigenvalues(fallen[:, of]) for a, of in cubes], axis=1)
         if query.kind == "two_volume":

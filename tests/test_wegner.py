@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 import wegnerlab.verify as verify
 import wegnerlab.wegner as wegner
 from wegnerlab.config import event_query_for, parse_config, row_seed
-from wegnerlab.errors import DistributionError
+from wegnerlab.errors import CapacityError, DistributionError
 from wegnerlab.hamiltonian import (
     CubeAssembly,
     InteractionSpec,
@@ -1011,13 +1012,17 @@ def test_sums_margin_sorts_only_the_near_trials():
 @pytest.mark.parametrize("name", sorted(_ROUTE_QUERIES))
 def test_trial_blocks_decide_as_single_trials(monkeypatch, name):
     # A block's count is the sum of its single-trial counts, and it sends
-    # the same trials, in the same order, to the dense fallback, in at
-    # most one solve per cube: the dense solves see the same potentials.
-    # mc_estimate cuts its trials into blocks of the prepared size; one
-    # below, at and one above that size, and any other split of the
-    # range, give the same count.
+    # the same trials, in the same order, to the dense fallback: the dense
+    # solves see the same potentials.  decide screens a block in chunks of
+    # the prepared chunk size and makes exactly one dense solve per cube
+    # for each chunk that has fallback trials, so a block of one chunk
+    # makes at most one.  Blocks one below, at and one above the chunk
+    # size, and one of more than three chunks, decide alike.  mc_estimate
+    # cuts its trials into blocks of the prepared size; one below, at and
+    # one above that size, and any other split of the range, give the same
+    # count.
     query, trials = _ROUTE_QUERIES[name]
-    block = query.prepared.block
+    block, chunk = query.prepared.block, query.prepared.chunk
     cubes = len(query.prepared.assemblies)
     calls = _recording_solves(monkeypatch)
 
@@ -1026,18 +1031,28 @@ def test_trial_blocks_decide_as_single_trials(monkeypatch, name):
         return [[r.tobytes() for c, rows in solves if c == k for r in rows] for k in range(cubes)]
 
     singles, single_rows = [], []
-    for trial in range(max(trials, block + 1)):
+    for trial in range(max(trials, block + 1, 3 * chunk + 1)):
         calls.clear()
         singles.append(evaluate_event(query, 37, trial))
         single_rows.append(rows_by_cube())
     assert set(singles) <= {0, 1}
     counts = np.concatenate([[0], np.cumsum(singles)])
 
-    calls.clear()
-    assert evaluate_event(query, 37, 0, trials) == counts[trials]
-    assert [c for c, _ in _dense_solves(query, calls)] in ([], list(range(cubes)))
-    want = [[r for per_trial in single_rows[:trials] for r in per_trial[k]] for k in range(cubes)]
-    assert rows_by_cube() == want
+    def dense_cubes_of_block(total):
+        calls.clear()
+        assert evaluate_event(query, 37, 0, total) == counts[total], total
+        want = [[r for t in range(total) for r in single_rows[t][k]] for k in range(cubes)]
+        assert rows_by_cube() == want, total
+        return [c for c, _ in _dense_solves(query, calls)]
+
+    assert dense_cubes_of_block(min(trials, chunk)) in ([], list(range(cubes)))
+    for total in (chunk - 1, chunk, chunk + 1, 3 * chunk + 1):
+        if total >= 1:
+            near_chunks = sum(
+                any(single_rows[t][0] for t in range(start, min(start + chunk, total)))
+                for start in range(0, total, chunk)
+            )
+            assert dense_cubes_of_block(total) == list(range(cubes)) * near_chunks, total
     for total in (block - 1, block, block + 1):
         if total >= 1:
             assert mc_estimate(query, total, 37).successes == counts[total], total
@@ -1073,12 +1088,12 @@ def test_exact_probability_of_shipped_rows(name, L, successes, fields):
 
 
 def test_two_volume_edge_block_solves_each_distinct_box_row_once(monkeypatch):
-    # a full L = 2 block of the two-volume edge row (the row perfbench's
+    # one screen chunk of the L = 2 two-volume edge row (the row perfbench's
     # edge_pair workload runs) has 2 boxes of 5 Bernoulli sites per trial,
     # so its box rows take at most 2^5 patterns; one stack solves each once
     query = _config_row("two_volume_edge", 2)
     prepared = query.prepared
-    potentials = draw_values(query.distribution, prepared.boxes, 7, np.arange(prepared.block))
+    potentials = draw_values(query.distribution, prepared.boxes, 7, np.arange(prepared.chunk))
     assert potentials.shape == (655, 2, 5)
     sizes = []
 
@@ -1093,27 +1108,132 @@ def test_two_volume_edge_block_solves_each_distinct_box_row_once(monkeypatch):
     assert sizes[0] <= 32
 
 
+@pytest.mark.parametrize("trials", [600, 1000])
+def test_two_volume_edge_row_draws_and_solves_its_boxes_once(monkeypatch, trials):
+    # the L = 4 two-volume edge row fits one block (1820 trials of 2 boxes
+    # of 9 Bernoulli sites), so mc_estimate makes one draw and one box
+    # solve for the whole row; that solve's stacked eigvalsh calls hold
+    # each distinct box row once (a box diagonal is its potentials + 2), at
+    # most 2^9 of them, although the row screens its sums in chunks of 202
+    query = _config_row("two_volume_edge", 4)
+    prepared = query.prepared
+    assert prepared.block >= trials > 2 * prepared.chunk
+    draws = []
+
+    def recording_draw(spec, points, seed, trial):
+        draws.append(draw_values(spec, points, seed, trial))
+        return draws[-1]
+
+    stacks = []
+
+    def recording_eigvalsh(a):
+        stacks.append(np.array(a))
+        return eigvalsh(a)
+
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(wegner, "draw_values", recording_draw)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    calls = _recording_solves(monkeypatch)
+    mc_estimate(query, trials, 11)
+    assert len(draws) == 1 and draws[0].shape == (trials, 2, 9)
+    assert [solver for solver, _ in calls] == [prepared.box]
+    diagonals = np.concatenate([np.diagonal(a, axis1=1, axis2=2) for a in stacks])
+    distinct = {row.tobytes() for row in draws[0].reshape(-1, 9) + 2.0}
+    assert sorted(row.tobytes() for row in diagonals) == sorted(distinct)
+    assert len(distinct) <= 2**9
+
+
+@pytest.mark.parametrize(
+    ("name", "L"),
+    [("two_volume_edge", 4), ("variable_edge_weak_coupling", 4), ("fixed_band_center", 32)],
+)
+def test_decide_on_a_full_block_stays_within_its_memory_bound(name, L):
+    # the block holds _BLOCK_ELEMENTS floats of box potentials and a chunk
+    # as many of sums, so a full block's decisions peak at a few budgets,
+    # whatever the row; the fallback trials of the weak-coupling row and
+    # the n = 1 row's large boxes included
+    query = _config_row(name, L)
+    prepared = query.prepared
+    potentials = draw_values(query.distribution, prepared.boxes, 3, np.arange(prepared.block))
+    decide(query, potentials[:1])
+    tracemalloc.start()
+    try:
+        decide(query, potentials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * wegner._BLOCK_ELEMENTS * 8, peak
+
+
+def test_fallback_above_the_dense_limit_raises_before_solving(monkeypatch):
+    # n = 2, d = 1, L = 32 has dim 65^2 = 4225 > DENSE_LIMIT: a trial whose
+    # sums margin is eps must fall back, and decide raises full_spectrum's
+    # CapacityError before any dense matrix of that size is built
+    base = EventQuery("fixed", 2, 1, 32, BERNOULLI, InteractionSpec.none(), 0.0, 0.1, energy=0.3)
+    potentials = draw_values(base.distribution, base.prepared.boxes, 0, np.arange(1))
+    singles = base.prepared.box.eigenvalues(potentials[..., None, :])[:, base.prepared.box_of]
+    eps = float(wegner._sums_margin(base, unsorted_sums(singles), math.inf)[0])
+    query = dataclasses.replace(base, eps=eps)
+    empty = np.zeros(0, dtype=np.int64)
+    with pytest.raises(CapacityError) as expected:
+        full_spectrum(SymMatrix(np.zeros(4225), empty, empty, np.zeros(0)))
+    dims = []
+
+    def recording(a):
+        dims.append(np.shape(a)[-1])
+        return eigvalsh(a)
+
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    calls = _recording_solves(monkeypatch)
+    with pytest.raises(CapacityError) as raised:
+        decide(query, potentials)
+    assert str(raised.value) == str(expected.value)
+    assert _dense_solves(query, calls) == []
+    assert set(dims) == {65}
+
+
 @pytest.mark.parametrize(
     "name", ["variable-bernoulli-n2d1-L3-coupled", "two_volume-uniform-n2d2-L1-coupled"]
 )
 def test_block_fallback_makes_one_stacked_dense_solve_per_cube(monkeypatch, name):
-    # a full block with several fallback trials solves them all in one
+    # a screen chunk with several fallback trials solves them all in one
     # eigenvalues call per cube, their potentials in trial order, and
-    # every trial of the block gets the dense decision
+    # every trial of the chunk gets the dense decision; a full block of
+    # several chunks makes one such call per cube for each chunk, in chunk
+    # order, and every trial of the block gets the dense decision
     query, _ = _ROUTE_QUERIES[name]
     prepared = query.prepared
+    cubes = list(range(len(prepared.assemblies)))
     potentials = draw_values(query.distribution, prepared.boxes, 5, np.arange(prepared.block))
     singles = prepared.box.eigenvalues(potentials[..., None, :])[:, prepared.box_of]
     margin = wegner._sums_margin(query, unsorted_sums(singles), query.eps + prepared.margin)
     near = (margin > query.eps - prepared.margin) & (margin <= query.eps + prepared.margin)
-    assert np.count_nonzero(near) > 1
+    chunk = prepared.chunk
+    assert np.count_nonzero(near[:chunk]) > 1
     calls = _recording_solves(monkeypatch)
-    decisions = decide(query, potentials)
+    decisions = decide(query, potentials[:chunk])
     dense = _dense_solves(query, calls)
-    assert [c for c, _ in dense] == list(range(len(prepared.assemblies)))
+    assert [c for c, _ in dense] == cubes
     for c, rows in dense:
-        assert np.array_equal(rows, potentials[near][:, prepared.box_of[c]])
+        assert np.array_equal(rows, potentials[:chunk][near[:chunk]][:, prepared.box_of[c]])
     want = [_dense_decision(query, p[prepared.box_of]) for p in potentials]
+    assert decisions.tolist() == want[:chunk]
+
+    starts = range(0, prepared.block, chunk)
+    assert len(starts) >= 3
+    assert sum(near[start : start + chunk].any() for start in starts) >= 3
+    calls.clear()
+    decisions = decide(query, potentials)
+    dense = iter(_dense_solves(query, calls))
+    for start in starts:
+        part = slice(start, start + chunk)
+        if near[part].any():
+            for c in cubes:
+                cube, rows = next(dense)
+                assert cube == c
+                assert np.array_equal(rows, potentials[part][near[part]][:, prepared.box_of[c]])
+    assert next(dense, None) is None
     assert decisions.tolist() == want
 
 

@@ -326,8 +326,8 @@ def validate_sweep(sweep: SweepConfig) -> list[str]:
         problems.append("sweep.steps must be >= 1000")
     if sweep.steps > STEPS_LIMIT:
         problems.append(
-            f"sweep.steps must be <= {STEPS_LIMIT}, which keeps each energy's "
-            "log-norm array at 1 GiB"
+            f"sweep.steps must be <= {STEPS_LIMIT}, which bounds each energy's "
+            "run time (about 35-45 s of scalar recursion at the limit)"
         )
     if sweep.e_min > sweep.e_max:
         problems.append("sweep.e_min must not exceed sweep.e_max")

@@ -6,10 +6,15 @@ psi(x-1) propagates through the unit-determinant matrix
 norm growth of a single vector, renormalized after every multiplication;
 only the leading exponent is needed so no QR of products is involved.
 
-The recursion streams its potentials: it draws them _CHUNK steps at a
-time, so memory is the log-norm array of 8 bytes per step plus one chunk.
-The draw at step k is the hash of (seed, trial, k) and does not depend on
-the chunking.  STEPS_LIMIT keeps the log-norm array at 1 GiB.
+The recursion streams: it draws its potentials _CHUNK steps at a time into
+a chunk of log norms, and _PairwiseSums adds each chunk, as it arrives, to
+the sums numpy's pairwise summation forms for the mean of all logs and for
+each batch mean.  No array as long as the chain exists; memory is one
+chunk plus one _LEAF-long carry, whatever the steps.  The draw at step k is
+the hash of (seed, trial, k), and the sums are added in numpy's order, so
+neither the chunking nor the streaming changes a bit of the estimate.
+STEPS_LIMIT bounds the run time, not memory: 2^27 steps of the scalar
+recursion take about 35-45 s per energy.
 
 A chunk whose coefficients c = (2 - E) + v are all one value steps the
 deterministic map (a, b) -> (c a - b, a) / hypot(c a - b, a) on the float
@@ -21,7 +26,10 @@ stepping every chunk.  With |c| > 2 the state settles on the expanding
 direction and then repeats (found after 33 steps at c = -3, later as |c|
 nears 2; a chunk that starts on the cycle finds it again within a few
 periods); with |c| <= 2 it mostly never does (c = 0 and c = +-1 are
-exceptions), and such a chunk pays one compare per step.
+exceptions).  Once a chunk finds no repeat of an elliptic c (|c| < 2),
+the chain's later chunks of that c step without the search and its
+per-step compare.  A hyperbolic c keeps searching: its state settles and
+repeats, if only after more than a chunk when |c| is near 2.
 """
 
 import math
@@ -31,7 +39,8 @@ import numpy as np
 
 from .randomfield import DistributionSpec, draw_values
 
-_CHUNK = 1 << 16
+_CHUNK = 1 << 14
+_LEAF = 1 << 13  # at least numpy's 128-element pairwise block
 STEPS_LIMIT = 1 << 27
 
 
@@ -41,40 +50,41 @@ def transfer_matrix(energy: float, v: float) -> np.ndarray:
 
 
 def _walk(coefficients, a, b):
-    """The recursion from state (a, b) over the coefficients: its norms and final state."""
-    hypot = math.hypot
-    norms = []
+    """The recursion from state (a, b) over the coefficients: its log norms and final state."""
+    hypot, log = math.hypot, math.log
+    logs = []
     for c in coefficients:
         na = c * a - b
         norm = hypot(na, a)
-        norms.append(norm)
+        logs.append(log(norm))
         a, b = na / norm, a / norm
-    return norms, a, b
+    return logs, a, b
 
 
 def _walk_to_cycle(c, count, a, b):
     """Up to ``count`` steps of the constant coefficient c, stopping when the state repeats.
 
     Brent's search: each state is compared with the one saved at the last
-    power-of-two step count, so memory stays O(1).  Returns the norms, the
-    final state and the period it repeats with (0 when no state repeated).
+    power-of-two step count, so memory stays O(1).  Returns the log norms,
+    the final state and the period it repeats with (0 when no state
+    repeated).
     """
-    hypot = math.hypot
-    norms = []
+    hypot, log = math.hypot, math.log
+    logs = []
     saved_a, saved_b = a, b
     power = 1
     while count > 0:
         for lam in range(1, min(power, count) + 1):
             na = c * a - b
             norm = hypot(na, a)
-            norms.append(norm)
+            logs.append(log(norm))
             a, b = na / norm, a / norm
             if a == saved_a and b == saved_b:
-                return norms, a, b, lam
+                return logs, a, b, lam
         count -= power
         saved_a, saved_b = a, b
         power *= 2
-    return norms, a, b, 0
+    return logs, a, b, 0
 
 
 def _fill_periodic(logs, base, period, start, stop):
@@ -89,6 +99,78 @@ def _fill_periodic(logs, base, period, start, stop):
         count = min(span, stop - pos)
         logs[pos : pos + count] = logs[pos - span : pos - span + count]
         pos += count
+
+
+def _pairwise(start, n):
+    """numpy's pairwise sum of stream elements [start, start + n), as a generator.
+
+    numpy sums a contiguous float64 run of more than 128 elements as the sum
+    of its halves, the first n2 = n // 2 rounded down to a multiple of 8, and
+    shorter runs in a fixed unrolled order (Higham, 1993).  A run of at most
+    _LEAF elements is a subtree that ``np.add.reduce`` of the same slice sums
+    bitwise alike, so each such leaf is yielded as (start, stop) and sent
+    back its sum; the generator returns the leaves added in numpy's order.
+    """
+    if n <= _LEAF:
+        return (yield start, start + n)
+    half = n // 2
+    half -= half % 8
+    left = yield from _pairwise(start, half)
+    return left + (yield from _pairwise(start + half, n - half))
+
+
+def _pairwise_rows(block, rows):
+    """The pairwise sums of ``rows`` consecutive runs of ``block`` elements, as a generator."""
+    sums = []
+    for row in range(rows):
+        sums.append((yield from _pairwise(row * block, block)))
+    return sums
+
+
+class _PairwiseSums:
+    """numpy's sums of a stream and of its batch rows, fed one chunk at a time.
+
+    For ``logs`` of ``steps`` elements, ``estimate()`` is bitwise
+    ``np.mean(logs)`` and the standard error of the batch means
+    ``logs[: batches * block].reshape(batches, block).mean(axis=1)``, with
+    ``block = steps // batches``.  Each leaf of either tree is summed as soon
+    as the stream completes it, so the carry holds at most one leaf plus one
+    chunk.
+    """
+
+    def __init__(self, steps, batches):
+        self._block = steps // batches
+        self._trees = [_pairwise(0, steps), _pairwise_rows(self._block, batches)]
+        self._leaves = [next(tree) for tree in self._trees]
+        self._sums = [None, None]
+        self._carry = np.empty(_LEAF + _CHUNK)
+        self._start = 0  # stream index of carry[0]
+        self._stop = 0  # stream index past the carry's last element
+
+    def add(self, values):
+        held = self._stop - self._start
+        self._carry[held : held + len(values)] = values
+        self._stop += len(values)
+        for k, tree in enumerate(self._trees):
+            leaf = self._leaves[k]
+            while leaf is not None and leaf[1] <= self._stop:
+                lo, hi = leaf[0] - self._start, leaf[1] - self._start
+                try:
+                    leaf = tree.send(float(np.add.reduce(self._carry[lo:hi])))
+                except StopIteration as done:
+                    self._sums[k], leaf = done.value, None
+            self._leaves[k] = leaf
+        keep = min((leaf[0] for leaf in self._leaves if leaf is not None), default=self._stop)
+        if keep > self._start:
+            held = self._stop - self._start
+            self._carry[: self._stop - keep] = self._carry[keep - self._start : held]
+            self._start = keep
+
+    def estimate(self):
+        """The stream's mean and the standard error of its batch means, as numpy forms them."""
+        total, rows = self._sums
+        means = np.array(rows) / self._block
+        return total / self._stop, float(np.std(means, ddof=1) / math.sqrt(len(rows)))
 
 
 @dataclass(frozen=True)
@@ -123,28 +205,30 @@ def lyapunov(
         raise ValueError(f"batches must be >= 2, got {batches}")
     if batches > steps:
         raise ValueError(f"batches must not exceed steps, got {batches} > {steps}")
-    logs = np.empty(steps)
+    sums = _PairwiseSums(steps, batches)
+    logs = np.empty(_CHUNK)
     shift = 2.0 - energy
     a, b = 1.0, 0.0
+    acyclic = set()  # elliptic coefficients a chunk stepped without a repeat
     for start in range(0, steps, _CHUNK):
-        stop = min(start + _CHUNK, steps)
-        points = np.arange(start, stop, dtype=np.int64).reshape(-1, 1)
+        count = min(_CHUNK, steps - start)
+        points = np.arange(start, start + count, dtype=np.int64).reshape(-1, 1)
         coefficients = shift + draw_values(spec, points, seed, trial)
         c = float(coefficients[0])
-        if (coefficients == c).all():
-            norms, a, b, period = _walk_to_cycle(c, stop - start, a, b)
-            found = start + len(norms)
-            logs[start:found] = list(map(math.log, norms))
+        if c not in acyclic and (coefficients == c).all():
+            head, a, b, period = _walk_to_cycle(c, count, a, b)
+            found = len(head)
+            logs[:found] = head
             if period:
-                _fill_periodic(logs, found - period, period, found, stop)
-                _, a, b = _walk([c] * ((stop - found) % period), a, b)
+                _fill_periodic(logs, found - period, period, found, count)
+                _, a, b = _walk([c] * ((count - found) % period), a, b)
+            elif abs(c) < 2.0:
+                acyclic.add(c)
         else:
-            norms, a, b = _walk(coefficients.tolist(), a, b)
-            logs[start:stop] = list(map(math.log, norms))
-    gamma = float(np.mean(logs))
-    block = steps // batches
-    means = logs[: batches * block].reshape(batches, block).mean(axis=1)
-    stderr = float(np.std(means, ddof=1) / math.sqrt(batches))
+            chunk, a, b = _walk(coefficients.tolist(), a, b)
+            logs[:count] = chunk
+        sums.add(logs[:count])
+    gamma, stderr = sums.estimate()
     return LyapunovEstimate(gamma_hat=gamma, stderr=stderr, steps=steps, batches=batches)
 
 

@@ -13,10 +13,12 @@ each distinct operator of the block once in stacked calls of bounded
 size.  Each instance's potentials, coupling and energy are bitwise those
 of drawing it alone, so a block changes how fast a suite runs, not what it
 checks.  The dist, resolvent and events suites draw one instance at a time
-from a shared generator.  The Lyapunov suite streams its recursion; its
-two free chains have a constant coefficient, so ``lyapunov`` steps them
-only until their float state repeats and copies the period from there,
-bitwise the logs of stepping all 10^6 steps.
+from a shared generator.  The Lyapunov suite streams its recursion: each
+chain's logs pass through one chunk buffer into numpy's pairwise sums, so
+its memory does not grow with its 10^6 steps.  Its two free chains have a
+constant coefficient, so ``lyapunov`` steps them only until their float
+state repeats and copies the period from there, bitwise the logs of
+stepping all 10^6 steps.
 """
 
 from __future__ import annotations

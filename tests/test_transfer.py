@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,69 @@ def test_cycling_chain_allocates_the_log_array_and_a_few_chunks():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * steps + 8 * (8 * transfer._CHUNK)
+
+
+@pytest.mark.parametrize("steps", [10**6, 4 * 10**6])
+def test_varying_chain_memory_does_not_grow_with_its_steps(steps):
+    # the logs stream through one chunk and the summation carry: no array
+    # as long as the chain
+    spec = DistributionSpec.bernoulli(0.5, 0.0, 1.0)
+    tracemalloc.start()
+    try:
+        lyapunov(2.5, spec, steps, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+def test_elliptic_chain_searches_for_a_repeat_in_its_first_chunk_only(monkeypatch):
+    # the elliptic point-mass chain finds no repeat in a whole chunk, so its
+    # later chunks of the same coefficient step without the search
+    energy, spec = CHAINS["point_mass"]
+    steps = 3 * transfer._CHUNK + 5
+    searched = []
+    search = transfer._walk_to_cycle
+
+    def counted(c, count, a, b):
+        searched.append(count)
+        return search(c, count, a, b)
+
+    monkeypatch.setattr(transfer, "_walk_to_cycle", counted)
+    est = lyapunov(energy, spec, steps, seed=19, trial=4, batches=7)
+    assert searched == [transfer._CHUNK]
+    assert (est.gamma_hat, est.stderr) == _per_step_lyapunov(energy, spec, steps, 19, 4, 7)
+
+
+def _streamed_estimate(logs, batches):
+    """The estimate of ``logs`` fed to the summation accumulator one chunk at a time."""
+    sums = transfer._PairwiseSums(len(logs), batches)
+    for start in range(0, len(logs), transfer._CHUNK):
+        sums.add(logs[start : start + transfer._CHUNK])
+    return sums.estimate()
+
+
+# numpy sums by halves down to blocks of at most 128 summed with 8
+# accumulators; the lengths cross those edges, the accumulator's leaf and
+# its chunk, and 999983 is prime
+STREAM_LENGTHS = [
+    1, 7, 8, 127, 128, 129,
+    transfer._LEAF - 1, transfer._LEAF + 1, transfer._CHUNK - 1, transfer._CHUNK + 1,
+    999983, 10**6,
+]
+
+
+@pytest.mark.parametrize(
+    ("length", "batches"),
+    [(n, b) for n in STREAM_LENGTHS for b in (2, 7, 20) if b <= n] + [(1, 1), (1000, 1000)],
+)
+def test_streamed_estimate_is_bitwise_numpys(length, batches):
+    logs = np.log(np.random.default_rng(length).uniform(0.2, 4.0, length))
+    with warnings.catch_warnings():
+        if batches == 1:  # one batch has no spread: the stderr is NaN on both sides
+            warnings.simplefilter("ignore", RuntimeWarning)
+        streamed, numpys = _streamed_estimate(logs, batches), _estimate(logs, batches)
+    assert np.array_equal(streamed, numpys, equal_nan=batches == 1)
 
 
 def test_degenerate_sweep_across_the_band_edge_is_the_per_step_loop(tmp_path):

@@ -111,12 +111,18 @@ def test_constant_chains_repeat_with_the_measured_periods(name):
 
 @pytest.mark.parametrize(
     "steps",
-    [1000, transfer._CHUNK - 1, transfer._CHUNK, transfer._CHUNK + 1, 2 * transfer._CHUNK + 7],
+    [
+        1000,
+        transfer._CHUNK - 1, transfer._CHUNK, transfer._CHUNK + 1, 2 * transfer._CHUNK + 7,
+        2**16 - 1, 2**16, 2**16 + 1, 2 * 2**16 + 7,
+    ],
 )
 @pytest.mark.parametrize("chain", list(CHAINS))
 def test_chunked_lyapunov_is_bitwise_the_per_step_loop(chain, steps):
-    # odd step counts are not a multiple of any period, and the last two
-    # counts cross chunk boundaries, where a cycle fills whole chunks
+    # odd step counts are not a multiple of any period; the counts around
+    # one and two chunks cross chunk boundaries, where a cycle fills whole
+    # chunks, and those around 2^16 end on, just before or just after a
+    # chunk edge four or more chunks into the chain
     energy, spec = CHAINS[chain]
     est = lyapunov(energy, spec, steps, seed=19, trial=4, batches=7)
     assert (est.gamma_hat, est.stderr) == _per_step_lyapunov(energy, spec, steps, 19, 4, 7)

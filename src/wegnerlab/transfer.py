@@ -26,10 +26,7 @@ stepping every chunk.  With |c| > 2 the state settles on the expanding
 direction and then repeats (found after 33 steps at c = -3, later as |c|
 nears 2; a chunk that starts on the cycle finds it again within a few
 periods); with |c| <= 2 it mostly never does (c = 0 and c = +-1 are
-exceptions).  Once a chunk finds no repeat of an elliptic c (|c| < 2),
-the chain's later chunks of that c step without the search and its
-per-step compare.  A hyperbolic c keeps searching: its state settles and
-repeats, if only after more than a chunk when |c| is near 2.
+exceptions), and such a chunk pays one compare per step.
 """
 
 import math
@@ -209,21 +206,18 @@ def lyapunov(
     logs = np.empty(_CHUNK)
     shift = 2.0 - energy
     a, b = 1.0, 0.0
-    acyclic = set()  # elliptic coefficients a chunk stepped without a repeat
     for start in range(0, steps, _CHUNK):
         count = min(_CHUNK, steps - start)
         points = np.arange(start, start + count, dtype=np.int64).reshape(-1, 1)
         coefficients = shift + draw_values(spec, points, seed, trial)
         c = float(coefficients[0])
-        if c not in acyclic and (coefficients == c).all():
+        if (coefficients == c).all():
             head, a, b, period = _walk_to_cycle(c, count, a, b)
             found = len(head)
             logs[:found] = head
             if period:
                 _fill_periodic(logs, found - period, period, found, count)
                 _, a, b = _walk([c] * ((count - found) % period), a, b)
-            elif abs(c) < 2.0:
-                acyclic.add(c)
         else:
             chunk, a, b = _walk(coefficients.tolist(), a, b)
             logs[:count] = chunk

@@ -214,36 +214,25 @@ def test_cycling_chain_allocates_the_log_array_and_a_few_chunks():
     assert peak <= 8 * steps + 8 * (8 * transfer._CHUNK)
 
 
-@pytest.mark.parametrize("steps", [10**6, 4 * 10**6])
-def test_varying_chain_memory_does_not_grow_with_its_steps(steps):
+@pytest.mark.parametrize(
+    ("energy", "spec", "steps"),
+    [
+        (2.5, DistributionSpec.bernoulli(0.5, 0.0, 1.0), 10**6),
+        (2.5, DistributionSpec.bernoulli(0.5, 0.0, 1.0), 4 * 10**6),
+        (*CHAINS["free_5"], 4 * 10**6),
+    ],
+    ids=["bernoulli-1000000", "bernoulli-4000000", "free_5-4000000"],
+)
+def test_chain_memory_does_not_grow_with_its_steps(energy, spec, steps):
     # the logs stream through one chunk and the summation carry: no array
-    # as long as the chain
-    spec = DistributionSpec.bernoulli(0.5, 0.0, 1.0)
+    # as long as the chain, whether it is stepped or filled from its cycle
     tracemalloc.start()
     try:
-        lyapunov(2.5, spec, steps, seed=3)
+        lyapunov(energy, spec, steps, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
-
-
-def test_elliptic_chain_searches_for_a_repeat_in_its_first_chunk_only(monkeypatch):
-    # the elliptic point-mass chain finds no repeat in a whole chunk, so its
-    # later chunks of the same coefficient step without the search
-    energy, spec = CHAINS["point_mass"]
-    steps = 3 * transfer._CHUNK + 5
-    searched = []
-    search = transfer._walk_to_cycle
-
-    def counted(c, count, a, b):
-        searched.append(count)
-        return search(c, count, a, b)
-
-    monkeypatch.setattr(transfer, "_walk_to_cycle", counted)
-    est = lyapunov(energy, spec, steps, seed=19, trial=4, batches=7)
-    assert searched == [transfer._CHUNK]
-    assert (est.gamma_hat, est.stderr) == _per_step_lyapunov(energy, spec, steps, 19, 4, 7)
 
 
 def _streamed_estimate(logs, batches):

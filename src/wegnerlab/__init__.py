@@ -1,8 +1,8 @@
 """Resonance statistics of finite-volume multi-particle Anderson operators.
 
 Builds n-particle lattice Hamiltonians with i.i.d. (in particular two-point)
-disorder on cubes, computes their spectra, decides resonance events
-exactly by closed comparisons on the sorted spectra, and estimates event
+disorder on cubes, computes their spectra, decides each resonance event
+as one margin on the spectra at most eps, and estimates event
 probabilities by reproducible counter-based Monte Carlo.
 """
 

@@ -46,16 +46,19 @@ def transfer_matrix(energy: float, v: float) -> np.ndarray:
     return np.array([[2.0 + v - energy, -1.0], [1.0, 0.0]])
 
 
-def _walk(coefficients, a, b):
-    """The recursion from state (a, b) over the coefficients: its log norms and final state."""
+def _walk(coefficients, a, b, out):
+    """The recursion from state (a, b) over the coefficients, returning the final state.
+
+    Step k's log norm goes to out[k], a memoryview of float64, so no step
+    makes a float object that outlives it.
+    """
     hypot, log = math.hypot, math.log
-    logs = []
-    for c in coefficients:
+    for k, c in enumerate(coefficients):
         na = c * a - b
         norm = hypot(na, a)
-        logs.append(log(norm))
+        out[k] = log(norm)
         a, b = na / norm, a / norm
-    return logs, a, b
+    return a, b
 
 
 def _walk_to_cycle(c, count, a, b):
@@ -204,6 +207,7 @@ def lyapunov(
         raise ValueError(f"batches must not exceed steps, got {batches} > {steps}")
     sums = _PairwiseSums(steps, batches)
     logs = np.empty(_CHUNK)
+    out = memoryview(logs)
     shift = 2.0 - energy
     a, b = 1.0, 0.0
     for start in range(0, steps, _CHUNK):
@@ -217,10 +221,10 @@ def lyapunov(
             logs[:found] = head
             if period:
                 _fill_periodic(logs, found - period, period, found, count)
-                _, a, b = _walk([c] * ((count - found) % period), a, b)
+                # from the repeated state these steps rewrite logs[found:] unchanged
+                a, b = _walk([c] * ((count - found) % period), a, b, out[found:])
         else:
-            chunk, a, b = _walk(coefficients.tolist(), a, b)
-            logs[:count] = chunk
+            a, b = _walk(memoryview(coefficients), a, b, out)
         sums.add(logs[:count])
     gamma, stderr = sums.estimate()
     return LyapunovEstimate(gamma_hat=gamma, stderr=stderr, steps=steps, batches=batches)

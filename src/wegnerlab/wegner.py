@@ -1,9 +1,11 @@
 """Resonance events, perturbation thresholds, and Monte Carlo estimation.
 
 The three event kinds (fixed energy, variable energy over an interval, and
-the two-volume joint event) are decided exactly by comparisons on the
-sorted sampled spectra; no grid approximation is involved.  All comparisons
-are closed (<=) to match the defining inequalities.  Probabilities are
+the two-volume joint event) are each decided by one margin on the sampled
+spectra, the smallest closeness at which the event holds: interval_dist
+for the fixed and variable kinds, two_volume_margin for the two-volume
+kind.  The event at eps is margin <= eps, closed to match the defining
+inequalities, and no grid approximation is involved.  Probabilities are
 estimated by counting over counter-based trials, so the success count is
 bit-identical for a fixed seed.
 
@@ -25,14 +27,12 @@ event holds there, sorting only the sums of the two-volume trials whose
 margin needs the exact pairing; a trial whose margin clears eps by the
 certified bound mu is decided by it.  The chunk's other trials are
 solved densely together, one ``CubeAssembly.eigenvalues`` call per cube,
-and decided by the same margin on those spectra (fixed and variable
-kinds) or by two_volume_event's closed comparisons, so every decision is
-the dense one and a trial's decision does not depend on the block or
-chunk it is drawn in.  A block's size is _BLOCK_ELEMENTS over its
-per-trial box potentials, k * side^d floats, and a chunk's is
-_BLOCK_ELEMENTS over its per-trial sums, cubes * side^(nd) floats;
-``CubeAssembly.eigenvalues`` keeps each of its stacked solves within the
-same budget.
+and decided by the same margin on those spectra, so every decision is the
+dense one and a trial's decision does not depend on the block or chunk it
+is drawn in.  A block's size is _BLOCK_ELEMENTS over its per-trial box
+potentials, k * side^d floats, and a chunk's is _BLOCK_ELEMENTS over its
+per-trial sums, cubes * side^(nd) floats; ``CubeAssembly.eigenvalues``
+keeps each of its stacked solves within the same budget.
 
 For a finite-support measure, ``exact_probability`` enumerates every field
 on the distinct lattice points of the boxes and decides each through
@@ -77,8 +77,8 @@ _TOLERANCE = 1e-10
 _EXACT_FIELDS = 1 << 20
 
 
-def _interval_dists(ev: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """dist(lambda, [lo, hi]) for every entry of ``ev``, formed in place."""
+def _interval_dists(ev: np.ndarray, lo, hi) -> np.ndarray:
+    """dist(lambda, [lo, hi]) for each entry of ``ev`` (lo, hi broadcast), formed in place."""
     dist = np.subtract(lo, ev)
     np.maximum(dist, ev - hi, out=dist)
     return np.maximum(dist, 0.0, out=dist)
@@ -108,23 +108,19 @@ def variable_energy_event(spec: Spectrum, interval, eps: float) -> bool:
 
 
 def two_volume_event(spec_x: Spectrum, spec_y: Spectrum, interval, eps: float) -> bool:
-    """Exists E in the interval within eps of both spectra.
+    """Exists E in the interval within eps of both spectra: two_volume_margin <= eps.
 
-    Some E lies in [x - eps, x + eps], [y - eps, y + eps] and [lo, hi] iff
-    the three closed intervals pairwise overlap.  Eigenvalues whose fattened
-    interval misses the window are dropped; for each remaining x, the y with
-    y + eps >= x - eps and y - eps <= x + eps form a contiguous run of the
-    sorted y, located by two binary searches.
+    The margin's differences x - y, x - hi and lo - x are exact whenever
+    their operands lie within a factor of 2 of each other (Sterbenz), while
+    comparisons of fattened endpoints, such as y + eps >= x - eps, round
+    each endpoint first and can let a pair an ulp too far apart hold.  An
+    empty spectrum has no eigenvalue near any E, so the event fails.
     """
     lo, hi = interval
     if lo > hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     x, y = spec_x.eigenvalues, spec_y.eigenvalues
-    x = x[(x - eps <= hi) & (x + eps >= lo)]
-    y = y[(y - eps <= hi) & (y + eps >= lo)]
-    first = np.searchsorted(y + eps, x - eps, side="left")
-    stop = np.searchsorted(y - eps, x + eps, side="right")
-    return bool(np.any(first < stop))
+    return bool(x.size and y.size and two_volume_margin(x, y, interval) <= eps)
 
 
 def _searchsorted_rows(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -201,11 +197,6 @@ class PerturbationCheck:
     dist_coupled: np.ndarray
 
 
-def _distances(eigenvalues: np.ndarray, energy: np.ndarray) -> np.ndarray:
-    """min over eigenvalues of |lambda - E|, one per row of ``eigenvalues``."""
-    return np.min(np.abs(eigenvalues - energy[:, None]), axis=-1)
-
-
 def perturbation_check(
     cube: Cube,
     potentials: np.ndarray,
@@ -255,12 +246,15 @@ def perturbation_check(
     if strongest >= bound:
         raise ValueError(f"|h| = {strongest} is not below h_star = {bound}")
     threshold = math.exp(-sigma * L0**beta)
-    dist_free = _distances(CubeAssembly.of(cube, inter, 0.0).eigenvalues(potentials), energy)
+    energies = energy[:, None]
+    free = CubeAssembly.of(cube, inter, 0.0).eigenvalues(potentials)
+    dist_free = np.min(_interval_dists(free, energies, energies), axis=-1)
     dist_coupled = np.empty(count)
     for value in np.unique(h):
         at = h == value
         coupled = CubeAssembly.of(cube, inter, float(value)).eigenvalues(potentials[at])
-        dist_coupled[at] = _distances(coupled, energy[at])
+        e = energies[at]
+        dist_coupled[at] = np.min(_interval_dists(coupled, e, e), axis=-1)
 
     skipped = (dist_free == 0.0) | (dist_coupled == 0.0)
     slack = 1e-9
@@ -507,9 +501,11 @@ def decide(query: EventQuery, potentials: np.ndarray) -> np.ndarray:
     at the prepared boxes; cube c's (n, side^d) potentials are its rows
     ``box_of[c]``.  Each distinct box potential of the block is solved
     once, in one call.  The trials are then screened in chunks of the
-    prepared chunk size, so no chunk's sums exceed _BLOCK_ELEMENTS floats
-    (``_decide_chunk``).  Raises CapacityError, with full_spectrum's
-    message, before a fallback dense solve above DENSE_LIMIT.
+    prepared chunk size, so no chunk's sums exceed _BLOCK_ELEMENTS floats,
+    and every trial of every kind is decided as its event margin <= eps on
+    its dense spectra (``_decide_chunk``).  Raises CapacityError, with
+    full_spectrum's message, before a fallback dense solve above
+    DENSE_LIMIT.
     """
     prepared = query.prepared
     singles = prepared.box.eigenvalues(potentials[..., None, :])
@@ -528,12 +524,11 @@ def _decide_chunk(query: EventQuery, potentials: np.ndarray, singles: np.ndarray
     margin moves by at most mu with them, so a trial whose sums margin
     exceeds eps + mu fails on the dense spectra at eps and one whose
     margin is at most eps - mu holds there.  The other trials are solved
-    densely together, one ``CubeAssembly.eigenvalues`` call per cube: the
-    fixed and variable kinds are decided by the same margin on those
-    spectra, which is interval_dist, and the two-volume kind by
-    two_volume_event's closed comparisons.  Either way the decision is the
-    dense one.  Raises CapacityError, as full_spectrum does, before a
-    dense solve above DENSE_LIMIT.
+    densely together, one ``CubeAssembly.eigenvalues`` call per cube, and
+    decided by the same margin on those spectra, which is the event
+    functions' own rule, so the decision is the dense one.  Raises
+    CapacityError, as full_spectrum does, before a dense solve above
+    DENSE_LIMIT.
     """
     prepared = query.prepared
     upper = query.eps + prepared.margin
@@ -545,11 +540,7 @@ def _decide_chunk(query: EventQuery, potentials: np.ndarray, singles: np.ndarray
         require_dense(sums.shape[-1])
         fallen, cubes = potentials[near], zip(prepared.assemblies, prepared.box_of)
         dense = np.stack([a.eigenvalues(fallen[:, of]) for a, of in cubes], axis=1)
-        if query.kind == "two_volume":
-            spectra = [[Spectrum(ev, ev.size) for ev in trial] for trial in dense]
-            decisions[near] = [two_volume_event(*xy, query.window, query.eps) for xy in spectra]
-        else:
-            decisions[near] = _sums_margin(query, dense, upper) <= query.eps
+        decisions[near] = _sums_margin(query, dense, upper) <= query.eps
     return decisions
 
 

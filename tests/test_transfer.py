@@ -202,8 +202,10 @@ def test_cycle_found_in_the_last_steps_is_bitwise_the_per_step_loop(monkeypatch,
 
 
 def test_cycling_chain_allocates_the_log_array_and_a_few_chunks():
-    # a constant chain that cycles fills its logs in place: no temporary
-    # as long as the chain, so the memory stays 8 bytes per step plus chunks
+    # a constant chain that cycles fills each chunk's logs in place from
+    # whole periods, with no temporary as long as the chain; the bound
+    # allows 8 bytes per step plus eight chunks, and the free_5 case of
+    # test_chain_memory_does_not_grow_with_its_steps holds it to 4 MiB
     steps = 2 * 10**6
     tracemalloc.start()
     try:

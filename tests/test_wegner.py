@@ -127,10 +127,12 @@ def test_two_volume_margin_matches_brute_force():
 
 def test_two_volume_margin_decides_the_events_suite_instances():
     # the events suite's dyadic instances, boundary band included: the
-    # margin is the suite's exact margin, and margin <= eps is the event.
-    # The same holds for the fixed (energy at the window's left end) and
-    # variable kinds, whose margin on the dense spectra, _sums_margin,
-    # decides a campaign's fallback trials
+    # margin is the suite's exact margin, a scalar loop over candidate
+    # energies, so two_volume_event, which is margin <= eps, decides them
+    # as the suite defines the event.  The fixed (energy at the window's
+    # left end) and variable kinds follow the same rule, and _sums_margin
+    # on the dense spectra decides a campaign's fallback trials of every
+    # kind by it
     rng = np.random.default_rng(20260804)
     at_boundary = [0, 0, 0]
     for k in range(3000):
@@ -182,6 +184,74 @@ def test_two_volume_examples():
     assert two_volume_event(x, y, (1.0, 3.0), 0.5)
     assert not two_volume_event(x, y, (3.515625, 5.0), 0.5)
     assert not two_volume_event(x, y, (1.0, 2.984375), 0.5)
+
+
+def _ulps(value, k):
+    """``value`` moved by k ulps, up for k > 0 and down for k < 0."""
+    toward = math.inf if k > 0 else -math.inf
+    for _ in range(abs(k)):
+        value = float(np.nextafter(value, toward))
+    return value
+
+
+def _exact_two_volume_event(x, y, window, eps):
+    """Some pair meets: max(x - eps, y - eps, lo) <= min(x + eps, y + eps, hi), in Fractions."""
+    eps, lo, hi = Fraction(eps), Fraction(window[0]), Fraction(window[1])
+    fattened_x = [(Fraction(v) - eps, Fraction(v) + eps) for v in x]
+    fattened_y = [(Fraction(v) - eps, Fraction(v) + eps) for v in y]
+    return any(
+        max(a, c, lo) <= min(b, d, hi) for a, b in fattened_x for c, d in fattened_y
+    )
+
+
+def test_two_volume_event_is_exact_on_ulp_near_ties():
+    # 11340 ties moved by k ulps, k in [-4, 4], with values in [1, 8]: a
+    # pair tie y = x - 2 eps, or a window-edge tie x - hi = eps or
+    # lo - x = eps, on one-eigenvalue spectra and on spectra with one more
+    # eigenvalue at each end of [1, 8], far from the window.  Comparisons
+    # of fattened endpoints round x - eps and y + eps and decide about one
+    # in twenty of these toward "holds"; the margin decides every one as
+    # exact arithmetic does
+    rng = np.random.default_rng(2026)
+    checked = held = 0
+    for base in range(210):
+        eps = float(rng.uniform(2.0**-7, 2.0**-3))
+        x = float(rng.uniform(3.0, 6.0))
+        u, width = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 0.5))
+        for tie, k in itertools.product(("pair", "hi", "lo"), range(-4, 5)):
+            if tie == "pair":
+                xs, ys, window = [x], [_ulps(x - 2.0 * eps, k)], (x - 0.5, x + 0.5)
+            elif tie == "hi":
+                hi = _ulps(x - eps, k)
+                xs, ys, window = [x], [x - u * eps], (hi - width, hi)
+            else:
+                lo = _ulps(x + eps, k)
+                xs, ys, window = [x], [x + u * eps], (lo, lo + width)
+            for extra in (0, 1):
+                ex, ey = (
+                    rng.uniform(1.0, 1.5, extra).tolist() + rng.uniform(7.5, 8.0, extra).tolist()
+                    for _ in range(2)
+                )
+                sx, sy = (spectrum_of(*values) for values in (xs + ex, ys + ey))
+                if base % 2:
+                    sx, sy = sy, sx
+                exact = _exact_two_volume_event(
+                    sx.eigenvalues.tolist(), sy.eigenvalues.tolist(), window, eps
+                )
+                assert two_volume_event(sx, sy, window, eps) == exact, (base, tie, k, extra)
+                checked += 1
+                held += exact
+    assert checked >= 10**4
+    assert 0.25 * checked < held < 0.75 * checked
+
+
+def test_two_volume_event_on_an_empty_spectrum_fails():
+    empty = Spectrum(np.empty(0), 0)
+    assert not two_volume_event(empty, spectrum_of(1.0), (0.0, 2.0), 1.0)
+    assert not two_volume_event(spectrum_of(1.0), empty, (0.0, 2.0), 1.0)
+    assert not two_volume_event(empty, empty, (0.0, 2.0), 1.0)
+    with pytest.raises(ValueError, match="empty interval"):
+        two_volume_event(empty, spectrum_of(1.0), (2.0, 0.0), 1.0)
 
 
 def test_event_monotone_in_eps():

@@ -17,11 +17,9 @@ from dataclasses import dataclass
 from .hamiltonian import InteractionSpec
 from .randomfield import DistributionSpec, derive_seed, validate
 from .transfer import STEPS_LIMIT
-from .wegner import EventQuery, delta0
+from .wegner import EVENT_KINDS, EventQuery, delta0
 
 SCHEMA_VERSION = 1
-
-EVENT_KINDS = ("fixed", "variable", "two_volume")
 
 _INT64_MAX = (1 << 63) - 1
 

@@ -62,7 +62,11 @@ class SymMatrix:
 
     Stored as the diagonal plus the strictly upper triangle as
     (rows, cols, vals) with rows < cols; each off-diagonal entry is held
-    once, so the matrix is symmetric by construction.
+    once, so the matrix is symmetric by construction.  A stacked
+    (..., dim) diagonal is a stack of matrices that share their
+    off-diagonal triples: ``dense`` gives the (..., dim, dim) stack and
+    ``diagonal`` and ``gershgorin_radii`` serve every matrix of it, while
+    ``banded``, ``nonzeros`` and ``inf_norm`` take only one matrix.
     """
 
     diag: np.ndarray
@@ -72,15 +76,19 @@ class SymMatrix:
 
     @property
     def dim(self) -> int:
-        return self.diag.size
+        return self.diag.shape[-1]
 
     @classmethod
     def from_entries(cls, dim: int, rows, cols, vals) -> "SymMatrix":
-        """From (row, col, value) triples; rejects entries not exactly mirrored."""
+        """From (row, col, value) triples; rejects repeated entries and unmirrored ones."""
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
         if np.any((rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim)):
             raise ValueError(f"matrix entry index outside dim {dim}")
+        entries, counts = np.unique(np.stack([rows, cols], axis=1), axis=0, return_counts=True)
+        if np.any(counts > 1):
+            r, c = entries[np.argmax(counts > 1)]
+            raise ValueError(f"matrix entry ({r}, {c}) is given more than once")
         upper, lower = rows < cols, rows > cols
         up = np.lexsort((cols[upper], rows[upper]))
         down = np.lexsort((rows[lower], cols[lower]))
@@ -103,10 +111,13 @@ class SymMatrix:
         return cls.from_entries(m.shape[0], rows, cols, m[rows, cols])
 
     def dense(self) -> np.ndarray:
-        m = np.diag(self.diag)
-        m[self.rows, self.cols] = self.vals
-        m[self.cols, self.rows] = self.vals
-        return m
+        """The (..., dim, dim) dense matrices, filled through their flat indices."""
+        dim, lead = self.dim, self.diag.shape[:-1]
+        m = np.zeros(lead + (dim * dim,))
+        m[..., self.rows * dim + self.cols] = self.vals
+        m[..., self.cols * dim + self.rows] = self.vals
+        m[..., :: dim + 1] = self.diag
+        return m.reshape(lead + (dim, dim))
 
     def banded(self) -> np.ndarray:
         """Upper band storage ``ab`` with ``ab[bw + i - j, j] = a[i, j]``.
@@ -247,7 +258,7 @@ class CubeAssembly:
         return diag
 
     def matrix(self, potentials: np.ndarray) -> SymMatrix:
-        """H for one instance's per-particle potentials, an (n, side^d) array."""
+        """H for one instance's (n, side^d) potentials, or H's stack for (..., n, side^d) ones."""
         return SymMatrix(self.diagonals(potentials), self.rows, self.cols, self.vals)
 
     def eigenvalues(self, potentials: np.ndarray) -> np.ndarray:
@@ -269,16 +280,11 @@ class CubeAssembly:
         keys = flat.view(np.dtype((np.void, flat.itemsize * dim)))[:, 0]
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         distinct = flat[first]
-        upper, lower = self.rows * dim + self.cols, self.cols * dim + self.rows
         solved = np.empty_like(distinct)
         chunk = max(1, _BLOCK_ELEMENTS // (dim * dim))
         for start in range(0, len(distinct), chunk):
-            part = distinct[start : start + chunk]
-            stack = np.zeros((len(part), dim * dim))
-            stack[:, upper] = self.vals
-            stack[:, lower] = self.vals
-            stack[:, :: dim + 1] = part
-            solved[start : start + chunk] = np.linalg.eigvalsh(stack.reshape(-1, dim, dim))
+            part = SymMatrix(distinct[start : start + chunk], self.rows, self.cols, self.vals)
+            solved[start : start + chunk] = np.linalg.eigvalsh(part.dense())
         return solved[inverse].reshape(diag.shape)
 
 

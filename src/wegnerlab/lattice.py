@@ -80,7 +80,7 @@ class Cube:
 
         A lexicographically sorted (m, d) int64 array of distinct points.
         """
-        return distinct_points(self.particle_points().reshape(-1, self.center.d))
+        return np.unique(self.particle_points().reshape(-1, self.center.d), axis=0)
 
     def particle_points(self) -> np.ndarray:
         """(n, side^d, d) int64 array: the points of each single-particle cube.
@@ -91,15 +91,6 @@ class Cube:
         d = self.center.d
         offsets = np.indices((self.side,) * d, dtype=np.int64).reshape(d, -1).T - self.radius
         return np.asarray(self.center.coords, dtype=np.int64).reshape(-1, 1, d) + offsets
-
-
-def distinct_points(points) -> np.ndarray:
-    """Distinct rows of an (m, d) integer array, in lexicographic order."""
-    pts = np.asarray(points, dtype=np.int64)
-    pts = pts[np.lexsort(pts.T[::-1])]
-    keep = np.ones(len(pts), dtype=bool)
-    keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
-    return pts[keep]
 
 
 def coords_array(cube: Cube) -> np.ndarray:

@@ -148,6 +148,13 @@ def validate(spec: DistributionSpec) -> list[str]:
     return violations
 
 
+def require_valid(spec: DistributionSpec) -> None:
+    """Raise DistributionError, naming every violated clause, for an invalid measure."""
+    violations = validate(spec)
+    if violations:
+        raise DistributionError("invalid distribution: " + "; ".join(violations))
+
+
 def support_sup(spec: DistributionSpec) -> float:
     """max |v| over the values a draw can take: the support ends, or every listed value."""
     if spec.kind == "finite":
@@ -191,9 +198,5 @@ def sample_field(spec: DistributionSpec, points, seed: int, trial: int) -> np.nd
     (n, side^d) potential array of a cube.  Raises DistributionError for an
     invalid measure.
     """
-    violations = validate(spec)
-    if violations:
-        raise DistributionError(
-            "invalid distribution: " + "; ".join(violations)
-        )
+    require_valid(spec)
     return draw_values(spec, points, seed, trial)

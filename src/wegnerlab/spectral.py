@@ -37,11 +37,11 @@ class Spectrum:
         object.__setattr__(self, "eigenvalues", ev)
 
 
-def gershgorin_interval(a: SymMatrix) -> tuple[float, float]:
-    """Interval [min diag - R, max diag + R] containing every eigenvalue."""
+def gershgorin_interval(a: SymMatrix):
+    """Interval [min diag - R, max diag + R] containing every eigenvalue, per matrix of a stack."""
     diag = a.diagonal()
     radii = a.gershgorin_radii()
-    return float(np.min(diag - radii)), float(np.max(diag + radii))
+    return np.min(diag - radii, axis=-1), np.max(diag + radii, axis=-1)
 
 
 def require_dense(dim: int) -> None:

@@ -61,30 +61,29 @@ def _walk(coefficients, a, b, out):
     return a, b
 
 
-def _walk_to_cycle(c, count, a, b):
-    """Up to ``count`` steps of the constant coefficient c, stopping when the state repeats.
+def _walk_to_cycle(c, a, b, out):
+    """Up to len(out) steps of the constant coefficient c, stopping when the state repeats.
 
-    Brent's search: each state is compared with the one saved at the last
-    power-of-two step count, so memory stays O(1).  Returns the log norms,
-    the final state and the period it repeats with (0 when no state
-    repeated).
+    Step k's log norm goes to out[k], as in ``_walk``.  Brent's search: each
+    state is compared with the one saved at the last power-of-two step
+    count, so memory stays O(1).  Returns the steps taken, the period the
+    final state repeats with (0 when no state repeated) and that state.
     """
     hypot, log = math.hypot, math.log
-    logs = []
     saved_a, saved_b = a, b
-    power = 1
-    while count > 0:
-        for lam in range(1, min(power, count) + 1):
+    count, done, power = len(out), 0, 1
+    while done < count:
+        for k in range(done, min(done + power, count)):
             na = c * a - b
             norm = hypot(na, a)
-            logs.append(log(norm))
+            out[k] = log(norm)
             a, b = na / norm, a / norm
             if a == saved_a and b == saved_b:
-                return logs, a, b, lam
-        count -= power
+                return k + 1, k + 1 - done, a, b
+        done += power
         saved_a, saved_b = a, b
         power *= 2
-    return logs, a, b, 0
+    return count, 0, a, b
 
 
 def _fill_periodic(logs, base, period, start, stop):
@@ -216,9 +215,7 @@ def lyapunov(
         coefficients = shift + draw_values(spec, points, seed, trial)
         c = float(coefficients[0])
         if (coefficients == c).all():
-            head, a, b, period = _walk_to_cycle(c, count, a, b)
-            found = len(head)
-            logs[:found] = head
+            found, period, a, b = _walk_to_cycle(c, a, b, out[:count])
             if period:
                 _fill_periodic(logs, found - period, period, found, count)
                 # from the repeated state these steps rewrite logs[found:] unchanged

@@ -270,10 +270,7 @@ def _perturbation_block(instances: int, seed: int):
     trials = np.arange(instances)
     dist = DistributionSpec.bernoulli(0.5, 0.0, 1.0)
     potentials = draw_values(dist, cube.particle_points(), seed, trials)
-    free = CubeAssembly.of(cube, inter, 0.0)
-    diag = free.diagonals(potentials)
-    radii = free.matrix(np.zeros(potentials.shape[1:])).gershgorin_radii()
-    lo, hi = np.min(diag - radii, axis=-1), np.max(diag + radii, axis=-1)
+    lo, hi = gershgorin_interval(CubeAssembly.of(cube, inter, 0.0).matrix(potentials))
     energy = lo + hash_uniform01(seed, trials, [[0x45]])[:, 0] * (hi - lo)
     h = 0.9 * h_star(1.0, **_WEAK) * np.where(trials % 2 == 0, 1.0, -1.0)
     return cube, inter, potentials, h, energy

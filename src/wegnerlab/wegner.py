@@ -60,6 +60,7 @@ from .lattice import Cube, Site
 from .randomfield import (
     DistributionSpec,
     draw_values,
+    require_valid,
     sample_field,  # noqa: F401  (perfbench/spans.py wraps wegner.sample_field by name)
     support_sup,
     validate,
@@ -71,6 +72,8 @@ from .spectral import (
     require_dense,
 )
 from .tensor import particle_assembly
+
+EVENT_KINDS = ("fixed", "variable", "two_volume")
 
 _WILSON_Z = 1.96
 _TOLERANCE = 1e-10
@@ -371,9 +374,7 @@ class EventQuery:
         Raises DistributionError for an invalid distribution, as
         sample_field does.
         """
-        violations = validate(self.distribution)
-        if violations:
-            raise DistributionError("invalid distribution: " + "; ".join(violations))
+        require_valid(self.distribution)
         cubes = _query_cubes(self)
         points = np.stack([c.particle_points() for c in cubes])
         rows = points.reshape((-1,) + points.shape[2:])
@@ -443,7 +444,7 @@ def validate_query(query: EventQuery) -> list[str]:
     """Problems with one campaign row, all reported before any sampling."""
     distribution_problems = validate(query.distribution)
     problems = [f"distribution: {v}" for v in distribution_problems]
-    if query.kind not in ("fixed", "variable", "two_volume"):
+    if query.kind not in EVENT_KINDS:
         problems.append(f"unknown event kind {query.kind!r}")
     problems += capacity_problems(query.n, query.d, query.L)
     if not 0.0 < query.eps < math.inf:

@@ -242,6 +242,17 @@ def test_symmatrix_rejects_asymmetric():
         read_matrix_dump(io.StringIO("# dim 2\n2 2 1.0\n"))
 
 
+def test_symmatrix_rejects_repeated_entries():
+    # a repeated diagonal entry would keep only its last value, and a
+    # repeated off-diagonal pair would count twice in the Gershgorin radii
+    # and the inf-norm but once in the dense matrix
+    dump = "# dim 2\n0 0 1.0\n0 0 5.0\n0 1 -1.0\n1 0 -1.0\n0 1 -1.0\n1 0 -1.0\n1 1 2.0\n"
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) is given more than once"):
+        read_matrix_dump(io.StringIO(dump))
+    with pytest.raises(ValueError, match=r"entry \(0, 1\) is given more than once"):
+        SymMatrix.from_entries(2, [0, 1, 0, 1], [1, 0, 1, 0], [-1.0] * 4)
+
+
 def test_square_lattice_spectrum_separates():
     # free d=2 Dirichlet square: eigenvalues are sums of two 1D chain values
     cube2 = Cube(Site(1, 2, (0, 0)), 2)

@@ -105,7 +105,9 @@ CYCLES = {"free_5": (33, 2), "free_2": (7, 4), "free_-1": (32, 1), "shifted_6": 
 def test_constant_chains_repeat_with_the_measured_periods(name):
     energy, spec = CHAINS[name]
     c = 2.0 - energy + spec.values[0]
-    norms, _, _, period = transfer._walk_to_cycle(c, transfer._CHUNK, 1.0, 0.0)
+    out = np.empty(transfer._CHUNK)
+    steps, period, _, _ = transfer._walk_to_cycle(c, 1.0, 0.0, out)
+    norms = out[:steps]
     assert (len(norms), period) == CYCLES.get(name, (transfer._CHUNK, 0))
 
 
@@ -192,7 +194,7 @@ def test_cycle_found_in_the_last_steps_is_bitwise_the_per_step_loop(monkeypatch,
     start, energy = 1000, 5.0
     values = np.random.default_rng(8).integers(0, 2, start).astype(float)
     _, a, b = _per_step_logs(energy, values)
-    found = len(transfer._walk_to_cycle(2.0 - energy, start, a, b)[0])
+    found = transfer._walk_to_cycle(2.0 - energy, a, b, np.empty(start))[0]
     assert found < start - extra
     values = np.concatenate([values, np.zeros(found + extra)])
     monkeypatch.setattr(transfer, "_CHUNK", start)
@@ -201,33 +203,20 @@ def test_cycle_found_in_the_last_steps_is_bitwise_the_per_step_loop(monkeypatch,
     assert (est.gamma_hat, est.stderr) == _estimate(_per_step_logs(energy, values)[0], 4)
 
 
-def test_cycling_chain_allocates_the_log_array_and_a_few_chunks():
-    # a constant chain that cycles fills each chunk's logs in place from
-    # whole periods, with no temporary as long as the chain; the bound
-    # allows 8 bytes per step plus eight chunks, and the free_5 case of
-    # test_chain_memory_does_not_grow_with_its_steps holds it to 4 MiB
-    steps = 2 * 10**6
-    tracemalloc.start()
-    try:
-        lyapunov(5.0, FREE, steps, seed=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * steps + 8 * (8 * transfer._CHUNK)
-
-
 @pytest.mark.parametrize(
     ("energy", "spec", "steps"),
     [
         (2.5, DistributionSpec.bernoulli(0.5, 0.0, 1.0), 10**6),
         (2.5, DistributionSpec.bernoulli(0.5, 0.0, 1.0), 4 * 10**6),
+        (*CHAINS["free_5"], 2 * 10**6),
         (*CHAINS["free_5"], 4 * 10**6),
     ],
-    ids=["bernoulli-1000000", "bernoulli-4000000", "free_5-4000000"],
+    ids=["bernoulli-1000000", "bernoulli-4000000", "free_5-2000000", "free_5-4000000"],
 )
 def test_chain_memory_does_not_grow_with_its_steps(energy, spec, steps):
     # the logs stream through one chunk and the summation carry: no array
-    # as long as the chain, whether it is stepped or filled from its cycle
+    # as long as the chain, whether it is stepped or filled in place from
+    # whole periods of its cycle
     tracemalloc.start()
     try:
         lyapunov(energy, spec, steps, seed=3)
@@ -288,7 +277,9 @@ def test_degenerate_sweep_across_the_band_edge_is_the_per_step_loop(tmp_path):
     for k, (energy, row) in enumerate(zip(energies.tolist(), rows)):
         gamma, stderr = _per_step_lyapunov(energy, spec, 3000, doc["run"]["seed"], k, 20)
         assert row == [repr(energy), repr(gamma), repr(stderr)]
-    periods = [transfer._walk_to_cycle(3.0 - e, 3000, 1.0, 0.0)[3] for e in energies.tolist()]
+    periods = [
+        transfer._walk_to_cycle(3.0 - e, 1.0, 0.0, np.empty(3000))[1] for e in energies.tolist()
+    ]
     assert 0 in periods and any(periods)
 
 

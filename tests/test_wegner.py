@@ -1157,6 +1157,14 @@ def test_exact_probability_of_shipped_rows(name, L, successes, fields):
     assert exact_probability(_config_row(name, L)) == Fraction(successes, fields)
 
 
+@pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-12])
+def test_band_centre_atom_is_a_floor_no_eps_goes_below(eps):
+    # with V in {0, 1}, H - 2 is an integer matrix, and E = 2 is an exact
+    # eigenvalue of the L = 4 box for 102 of its 512 fields, at every eps
+    query = EventQuery("fixed", 1, 1, 4, BERNOULLI, InteractionSpec.none(), 0.0, eps, energy=2.0)
+    assert exact_probability(query) == Fraction(51, 256)
+
+
 def test_two_volume_edge_block_solves_each_distinct_box_row_once(monkeypatch):
     # one screen chunk of the L = 2 two-volume edge row (the row perfbench's
     # edge_pair workload runs) has 2 boxes of 5 Bernoulli sites per trial,

@@ -44,6 +44,14 @@ def _load_config(path: str, seed: int | None = None):
     return dataclasses.replace(config, run=dataclasses.replace(config.run, seed=seed))
 
 
+def _out_directory(ctx, param, value):
+    """``--out``, checked to name a file in an existing directory before any work is done."""
+    path = Path(value)
+    if path.is_dir() or not path.parent.is_dir():
+        raise click.BadParameter(f"{value!r} is not a file in an existing directory", ctx, param)
+    return value
+
+
 def _require_valid(problems):
     if problems:
         raise click.ClickException(
@@ -74,7 +82,7 @@ def main():
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--out", "out_path", required=True, type=click.Path())
+@click.option("--out", "out_path", required=True, type=click.Path(), callback=_out_directory)
 @click.option("--seed", type=int, default=None, help="Override run.seed.")
 @click.pass_context
 def run(ctx, config_path, out_path, seed):
@@ -171,7 +179,7 @@ def verify(ctx, suites):
 
 @main.command("lyapunov-sweep")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--out", "out_path", required=True, type=click.Path())
+@click.option("--out", "out_path", required=True, type=click.Path(), callback=_out_directory)
 @click.option("--seed", type=int, default=None, help="Override run.seed.")
 def lyapunov_sweep(config_path, out_path, seed):
     """Estimate the Lyapunov exponent over the configured energy grid.
@@ -202,7 +210,7 @@ def lyapunov_sweep(config_path, out_path, seed):
 
 @main.command("dump-matrix")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--out", "out_path", required=True, type=click.Path())
+@click.option("--out", "out_path", required=True, type=click.Path(), callback=_out_directory)
 @click.option("--length", type=int, default=None, help="Cube radius; default first of L_list.")
 @click.option(
     "--trial",

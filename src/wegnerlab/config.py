@@ -6,8 +6,9 @@ energy sweep; see the README for the full schema.  Non-finite numbers
 (``NaN``, ``Infinity``, or a literal such as ``1e999`` that overflows) and
 values of the wrong type are rejected while parsing, with a ConfigError
 that names the key.  So is a key that no section knows, which would
-otherwise leave a misspelled optional key at its default; keys that
-start with ``_`` are notes and are ignored.
+otherwise leave a misspelled optional key at its default, and a key
+given twice in one object, which would otherwise keep only its last
+value; keys that start with ``_`` are notes and are ignored.
 """
 
 import json
@@ -182,10 +183,10 @@ def _parse_interaction(obj: dict) -> InteractionSpec:
         return InteractionSpec.none()
     if kind == "pair_contact":
         _only(obj, where, "kind", "range", "amplitude")
-        return InteractionSpec.pair_contact(
-            _value(int, obj, "range", where),
-            _value(float, obj, "amplitude", where),
-        )
+        radius = _value(int, obj, "range", where)
+        if radius < 0:
+            raise ConfigError(f"{where}.range must be >= 0, got {radius}")
+        return InteractionSpec.pair_contact(radius, _value(float, obj, "amplitude", where))
     raise ConfigError(f"unknown interaction kind {kind!r}")
 
 
@@ -200,15 +201,29 @@ def _finite_float(literal: str) -> float:
     return value
 
 
+def _unique_keys(pairs) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"key {key!r} is given more than once in one object")
+        doc[key] = value
+    return doc
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """The config document as an ExperimentConfig.
 
-    Raises ConfigError for invalid JSON, a missing or unknown key, a
-    section that is not an object, or a value of the wrong type;
+    Raises ConfigError for invalid JSON, a missing, unknown or repeated
+    key, a section that is not an object, or a value of the wrong type;
     ``validate_config`` then checks the values.
     """
     try:
-        doc = json.loads(text, parse_float=_finite_float, parse_constant=_reject_non_finite)
+        doc = json.loads(
+            text,
+            parse_float=_finite_float,
+            parse_constant=_reject_non_finite,
+            object_pairs_hook=_unique_keys,
+        )
     except ConfigError:
         raise
     except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to convert

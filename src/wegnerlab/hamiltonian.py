@@ -24,7 +24,17 @@ from .errors import CapacityError
 from .lattice import Cube, coords_array
 
 SCAN_LIMIT = 1 << 22
+DENSE_LIMIT = 4096
 _BLOCK_ELEMENTS = 1 << 15
+
+
+def require_dense(dim: int) -> None:
+    """Raise CapacityError when a dense solve of dimension ``dim`` is above DENSE_LIMIT."""
+    if dim > DENSE_LIMIT:
+        raise CapacityError(
+            f"dim {dim} exceeds the dense eigensolver limit {DENSE_LIMIT}; "
+            "use count_below or dist_to_spectrum"
+        )
 
 
 @dataclass(frozen=True)
@@ -111,8 +121,9 @@ class SymMatrix:
         return cls.from_entries(m.shape[0], rows, cols, m[rows, cols])
 
     def dense(self) -> np.ndarray:
-        """The (..., dim, dim) dense matrices, filled through their flat indices."""
+        """The (..., dim, dim) dense matrices by flat index; CapacityError above DENSE_LIMIT."""
         dim, lead = self.dim, self.diag.shape[:-1]
+        require_dense(dim)
         m = np.zeros(lead + (dim * dim,))
         m[..., self.rows * dim + self.cols] = self.vals
         m[..., self.cols * dim + self.rows] = self.vals
@@ -166,30 +177,19 @@ def _pair_counts(coords: np.ndarray, n: int, d: int, radius: int) -> np.ndarray:
 
 
 def interaction_values(cube: Cube, inter: InteractionSpec) -> np.ndarray:
-    """U(x) over the cube sites in enumeration order."""
+    """U(x) over the cube sites in enumeration order; CapacityError above SCAN_LIMIT sites."""
     dim = cube.site_count
-    if inter.kind == "none":
-        return np.zeros(dim)
     if dim > SCAN_LIMIT:
         raise CapacityError(f"interaction scan over {dim} sites not supported")
+    if inter.kind == "none":
+        return np.zeros(dim)
     n, d = cube.center.n, cube.center.d
     counts = _pair_counts(coords_array(cube), n, d, inter.radius)
     return inter.amplitude * counts
 
 
 def interaction_sup_norm(cube: Cube, inter: InteractionSpec) -> float:
-    """max over cube sites of |U(x)|, exact.
-
-    Falls back to the closed form |amplitude|*n(n-1)/2 when all
-    single-particle cubes share a center, in which case the fully clustered
-    configuration is attainable.
-    """
-    if inter.kind == "none":
-        return 0.0
-    n = cube.center.n
-    centers = {cube.center.particle(i) for i in range(n)}
-    if len(centers) == 1:
-        return inter.sup_bound(n)
+    """max over cube sites of |U(x)|, exact, by the scan of ``interaction_values``."""
     return float(np.max(np.abs(interaction_values(cube, inter))))
 
 

@@ -136,6 +136,8 @@ def validate(spec: DistributionSpec) -> list[str]:
             return violations
         if not all(math.isfinite(v) for v in spec.values):
             violations.append("unbounded support")
+        if not all(math.isfinite(w) for w in spec.weights):
+            violations.append("non-finite weight")
         if any(w < 0 for w in spec.weights):
             violations.append("negative weight")
         if abs(sum(spec.weights) - 1.0) > 1e-12:

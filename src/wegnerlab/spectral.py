@@ -1,13 +1,13 @@
 """Symmetric eigenvalue machinery.
 
-Full spectra come from LAPACK on dense matrices up to DENSE_LIMIT.
-Eigenvalue counts and distance-to-spectrum queries take the eigenvalues of
-the matrix in its lexicographic band form (LAPACK symmetric band
-reduction) at every size.  Resolvent norms use 1/dist, which is exact for
-self-adjoint operators; an independent smallest-singular-value check is
-exposed alongside.  Those band and SVD oracles are the only users of
-scipy, which they import on first call, so a campaign or a matrix dump
-never loads it.
+Full spectra come from LAPACK on dense matrices, which ``SymMatrix.dense``
+refuses above DENSE_LIMIT.  Eigenvalue counts and distance-to-spectrum
+queries take the eigenvalues of the matrix in its lexicographic band form
+(LAPACK symmetric band reduction) at every size.  Resolvent norms use
+1/dist, which is exact for self-adjoint operators; an independent
+smallest-singular-value check is exposed alongside.  Those band and SVD
+oracles are the only users of scipy, which they import on first call, so
+a campaign or a matrix dump never loads it.
 """
 
 import math
@@ -15,10 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
-from .hamiltonian import SymMatrix
-
-DENSE_LIMIT = 4096
+from .hamiltonian import DENSE_LIMIT, SymMatrix  # noqa: F401  (DENSE_LIMIT is re-exported)
 
 
 @dataclass(frozen=True)
@@ -44,22 +41,12 @@ def gershgorin_interval(a: SymMatrix):
     return np.min(diag - radii, axis=-1), np.max(diag + radii, axis=-1)
 
 
-def require_dense(dim: int) -> None:
-    """Raise CapacityError when a dense solve of dimension ``dim`` is above DENSE_LIMIT."""
-    if dim > DENSE_LIMIT:
-        raise CapacityError(
-            f"dim {dim} exceeds the dense eigensolver limit {DENSE_LIMIT}; "
-            "use count_below or dist_to_spectrum"
-        )
-
-
 def full_spectrum(a: SymMatrix) -> Spectrum:
     """All eigenvalues by dense symmetric diagonalization.
 
-    Raises CapacityError above DENSE_LIMIT; use count_below / dist_to_spectrum
-    there instead.
+    Raises CapacityError above DENSE_LIMIT, from ``SymMatrix.dense``; use
+    count_below / dist_to_spectrum there instead.
     """
-    require_dense(a.dim)
     return Spectrum(eigenvalues=np.linalg.eigvalsh(a.dense()), dim=a.dim)
 
 
@@ -91,10 +78,8 @@ def resolvent_norm(a: SymMatrix, energy: float) -> float:
 
 
 def smallest_singular_value(a: SymMatrix, energy: float) -> float:
-    """Smallest singular value of A - E*I, by dense SVD."""
-    if a.dim > DENSE_LIMIT:
-        raise CapacityError(f"dim {a.dim} exceeds the dense SVD limit {DENSE_LIMIT}")
+    """Smallest singular value of A - E*I, by dense SVD; CapacityError above DENSE_LIMIT."""
+    shifted = a.dense() - energy * np.eye(a.dim)  # the capacity check comes before scipy loads
     import scipy.linalg
 
-    shifted = a.dense() - energy * np.eye(a.dim)
     return float(scipy.linalg.svdvals(shifted)[-1])

@@ -20,8 +20,9 @@ A chunk whose coefficients c = (2 - E) + v are all one value steps the
 deterministic map (a, b) -> (c a - b, a) / hypot(c a - b, a) on the float
 state, so once a state repeats, every later norm repeats with the same
 period.  Each such chunk steps until its state repeats, fills the rest of
-its logs with copies of one period, in place, and steps the remainder of
-a period to reach the chunk's final state.  The logs are bitwise those of
+its logs by repeating its last period cyclically (``np.tile``, one
+chunk-sized temporary at most), and steps the remainder of a period to
+reach the chunk's final state.  The logs are bitwise those of
 stepping every chunk.  With |c| > 2 the state settles on the expanding
 direction and then repeats (found after 33 steps at c = -3, later as |c|
 nears 2; a chunk that starts on the cycle finds it again within a few
@@ -84,20 +85,6 @@ def _walk_to_cycle(c, a, b, out):
         saved_a, saved_b = a, b
         power *= 2
     return count, 0, a, b
-
-
-def _fill_periodic(logs, base, period, start, stop):
-    """Extend logs[base:start], which repeats with the period, over logs[start:stop].
-
-    Each copy takes a whole number of periods from the filled part, at most
-    doubling it, so no temporary is allocated.
-    """
-    pos = start
-    while pos < stop:
-        span = (pos - base) // period * period
-        count = min(span, stop - pos)
-        logs[pos : pos + count] = logs[pos - span : pos - span + count]
-        pos += count
 
 
 def _pairwise(start, n):
@@ -217,7 +204,8 @@ def lyapunov(
         if (coefficients == c).all():
             found, period, a, b = _walk_to_cycle(c, a, b, out[:count])
             if period:
-                _fill_periodic(logs, found - period, period, found, count)
+                cycle = logs[found - period : found]  # found >= period, so count // period suffice
+                logs[found:count] = np.tile(cycle, count // period)[: count - found]
                 # from the repeated state these steps rewrite logs[found:] unchanged
                 a, b = _walk([c] * ((count - found) % period), a, b, out[found:])
         else:

@@ -111,7 +111,7 @@ def dist_suite(instances: int = 100, seed: int = 20260802) -> SuiteResult:
         a = _random_instance(rng, seed, k)
         lo, hi = gershgorin_interval(a)
         energy = float(rng.uniform(lo, hi))
-        dense = float(np.min(np.abs(full_spectrum(a).eigenvalues - energy)))
+        dense = interval_dist(full_spectrum(a), (energy, energy))
         worst = max(worst, abs(dist_to_spectrum(a, energy) - dense))
     return SuiteResult(
         name="dist",

@@ -50,10 +50,12 @@ import numpy as np
 from .errors import DistributionError
 from .hamiltonian import (
     _BLOCK_ELEMENTS,
+    DENSE_LIMIT,
     CubeAssembly,
     InteractionSpec,
     build_hamiltonian,  # noqa: F401  (perfbench/spans.py wraps wegner.build_hamiltonian by name)
     interaction_sup_norm,
+    require_dense,
     unsorted_sums,
 )
 from .lattice import Cube, Site
@@ -66,10 +68,8 @@ from .randomfield import (
     validate,
 )
 from .spectral import (
-    DENSE_LIMIT,
     Spectrum,
     full_spectrum,  # noqa: F401  (perfbench/spans.py wraps wegner.full_spectrum by name)
-    require_dense,
 )
 from .tensor import particle_assembly
 

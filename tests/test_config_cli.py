@@ -215,6 +215,54 @@ def test_config_rejects_unknown_keys(section, old, new, doc):
         parse_config(json.dumps(doc))
 
 
+def test_config_rejects_a_negative_contact_range(tmp_path):
+    # a ConfigError naming the key, not the ValueError of InteractionSpec.pair_contact
+    doc = make_config(
+        **{"model.interaction": {"kind": "pair_contact", "range": -1, "amplitude": 1.0}}
+    )
+    message = "model.interaction.range must be >= 0, got -1"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(json.dumps(doc))
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "out.txt"
+    for command in ("run", "dump-matrix"):
+        result = CliRunner().invoke(main, [command, "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 1, (command, result.output)
+        assert isinstance(result.exception, SystemExit)  # a report, not a raw error
+        assert message in result.output
+        assert not out.exists()
+    doc["model"]["interaction"]["range"] = 0
+    assert parse_config(json.dumps(doc)).model.interaction == InteractionSpec.pair_contact(0, 1.0)
+
+
+@pytest.mark.parametrize(
+    ("old", "new", "key"),
+    [
+        ('"trials": 50', '"trials": 1000, "trials": 5', "trials"),
+        ('"p": 0.5', '"p": 0.5, "p": 0.25', "p"),
+        ('"model": {', '"run": {}, "model": {', "run"),
+        ('"q": 2.0', '"_note": "a", "_note": "b", "q": 2.0', "_note"),
+    ],
+    ids=["run", "distribution", "root", "note"],
+)
+def test_config_rejects_a_key_given_twice(tmp_path, old, new, key):
+    # json.loads would keep the last value, as silently as a misspelled key
+    text = json.dumps(make_config())
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    message = f"key {key!r} is given more than once in one object"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(text)
+    config = tmp_path / "c.json"
+    config.write_text(text)
+    out = tmp_path / "r.csv"
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output
+    assert not out.exists()
+
+
 def test_run_rejects_a_misspelled_key_before_sampling(tmp_path, monkeypatch):
     doc = json.loads((REPO / "configs" / "variable_edge_weak_coupling.json").read_text())
     doc["model"]["hh"] = doc["model"].pop("h")
@@ -478,6 +526,31 @@ def test_dump_matrix_trial_is_a_64_bit_word(tmp_path):
     assert result.exit_code == 2
     assert "--trial" in result.output and "Traceback" not in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "lyapunov-sweep", "dump-matrix"])
+def test_out_in_a_missing_directory_is_rejected_before_sampling(tmp_path, monkeypatch, command):
+    # the CSV or dump would otherwise fail to open only after all the work,
+    # as it would for an --out that is itself a directory
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the command started sampling")
+
+    for name in ("mc_estimate", "sample_field"):
+        monkeypatch.setattr(cli, name, no_sampling)
+    monkeypatch.setattr(cli.transfer, "lyapunov_sweep", no_sampling)
+    doc = make_config()
+    doc["sweep"] = {"e_min": 1.0, "e_max": 3.0, "points": 3, "steps": 2000}
+    config = write_config(tmp_path, doc)
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    for out in (tmp_path / "missing" / "out.csv", afile / "out.csv", tmp_path):
+        result = CliRunner().invoke(main, [command, "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '--out': '{out}' is not a file in an existing directory" in (
+            result.output
+        )
+        assert "Traceback" not in result.output
+    assert not (tmp_path / "missing").exists() and afile.read_text() == "kept"
 
 
 @pytest.mark.parametrize("seed", [2**64 + 5, -1], ids=["2^64+5", "-1"])

@@ -1,11 +1,15 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from wegnerlab.errors import CapacityError
 from wegnerlab.hamiltonian import (
     _BLOCK_ELEMENTS,
+    DENSE_LIMIT,
+    SCAN_LIMIT,
     CubeAssembly,
     InteractionSpec,
     SymMatrix,
@@ -16,7 +20,9 @@ from wegnerlab.hamiltonian import (
 )
 from wegnerlab.lattice import Cube, Site
 from wegnerlab.randomfield import DistributionSpec, draw_values, sample_field
-from wegnerlab.spectral import full_spectrum, gershgorin_interval
+from wegnerlab.spectral import full_spectrum, gershgorin_interval, smallest_singular_value
+from wegnerlab.tensor import verify_decomposition
+from wegnerlab.wegner import perturbation_check
 
 NONE = InteractionSpec.none()
 BERNOULLI = DistributionSpec.bernoulli(0.5, 0.0, 1.0)
@@ -171,6 +177,24 @@ def test_interaction_sup_norm_separated_centers_scans():
     # partially reachable: one clustered configuration exists
     near = Cube(Site(2, 1, (0, 2)), 1)
     assert interaction_sup_norm(near, InteractionSpec.pair_contact(0, 1.0)) == 1.0
+
+
+@pytest.mark.parametrize(
+    "inter", [NONE, InteractionSpec.pair_contact(0, 1.0)], ids=["none", "contact"]
+)
+def test_interaction_sup_norm_scans_within_the_scan_limit(inter):
+    # the sup norm is the scan's maximum, so it keeps the scan's capacity,
+    # and no kind allocates a site array before the check
+    cube = Cube(Site(2, 1, (0, 0)), 1024)  # 2049^2 sites
+    assert cube.site_count > SCAN_LIMIT
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="interaction scan over 4198401 sites"):
+            interaction_sup_norm(cube, inter)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * cube.site_count // 16
 
 
 def test_assembly_above_dense_limit():
@@ -352,3 +376,45 @@ def test_cube_assembly_matrix_is_the_block_diagonal():
             assembly.matrix(block[t]).dense(),
             build_hamiltonian(cube, block[t], InteractionSpec.pair_contact(0, 1.0), 0.3).dense(),
         )
+
+
+def test_every_dense_solve_is_refused_above_the_dense_limit(monkeypatch):
+    # n = 2, d = 1, L = 32 has dim 65^2 = 4225 > DENSE_LIMIT: every route to
+    # a dense matrix raises full_spectrum's CapacityError from
+    # SymMatrix.dense, before any matrix of that size is allocated
+    cube = Cube(Site(2, 1, (0, 0)), 32)
+    dim = cube.site_count
+    assert dim == 4225 > DENSE_LIMIT
+    potentials = np.zeros((1, 2, 65))
+    matrix = build_hamiltonian(cube, potentials[0], NONE, 0.0)
+    with pytest.raises(CapacityError) as expected:
+        full_spectrum(matrix)
+    assert str(expected.value) == (
+        "dim 4225 exceeds the dense eigensolver limit 4096; use count_below or dist_to_spectrum"
+    )
+    contact = InteractionSpec.pair_contact(0, 1.0)
+    routes = {
+        "dense": matrix.dense,
+        "CubeAssembly.eigenvalues": lambda: CubeAssembly.of(cube, NONE, 0.0).eigenvalues(
+            potentials
+        ),
+        "perturbation_check": lambda: perturbation_check(
+            cube, potentials, contact, 0.0, 0.3, 1.0, 0.5, 4
+        ),
+        "verify_decomposition": lambda: verify_decomposition(cube, potentials),
+        "smallest_singular_value": lambda: smallest_singular_value(matrix, 0.3),
+    }
+    shapes = _recorded_eigvalsh(monkeypatch)
+    for name, route in routes.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError) as raised:
+                route()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(raised.value) == str(expected.value), name
+        assert peak < 8 * dim * dim // 16, (name, peak)
+    # only verify_decomposition's single-particle solve, of dim 65, ran
+    assert shapes == [(1, 65, 65)]
+    assert all(shape[-1] <= DENSE_LIMIT for shape in shapes)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,17 @@ def test_validate_weights():
     assert "single-point support" in validate(
         DistributionSpec.finite([0.0, 1.0], [1.0, 0.0])
     )
+
+
+def test_validate_non_finite_weights():
+    # abs(nan - 1) > 1e-12 is False, so the sum check alone passes a NaN weight
+    nan = float("nan")
+    assert validate(DistributionSpec.finite((0.0, 1.0, 2.0), (0.5, 0.5, nan))) == [
+        "non-finite weight"
+    ]
+    assert "non-finite weight" in validate(DistributionSpec.finite((0.0, 1.0), (0.5, math.inf)))
+    with pytest.raises(DistributionError, match="non-finite weight"):
+        sample_field(DistributionSpec.finite((0.0, 1.0), (1.0, nan)), REGION_1D, 1, 0)
 
 
 def test_sample_field_rejects_invalid_spec():

@@ -90,11 +90,14 @@ class SymMatrix:
 
     @classmethod
     def from_entries(cls, dim: int, rows, cols, vals) -> "SymMatrix":
-        """From (row, col, value) triples; rejects repeated entries and unmirrored ones."""
+        """From (row, col, value) triples; rejects non-finite, repeated and unmirrored entries."""
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
         if np.any((rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim)):
             raise ValueError(f"matrix entry index outside dim {dim}")
+        if not np.all(np.isfinite(vals)):
+            i = np.argmin(np.isfinite(vals))
+            raise ValueError(f"matrix entry ({rows[i]}, {cols[i]}) is not finite: {vals[i]}")
         entries, counts = np.unique(np.stack([rows, cols], axis=1), axis=0, return_counts=True)
         if np.any(counts > 1):
             r, c = entries[np.argmax(counts > 1)]

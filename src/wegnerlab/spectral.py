@@ -5,9 +5,10 @@ refuses above DENSE_LIMIT.  Eigenvalue counts and distance-to-spectrum
 queries take the eigenvalues of the matrix in its lexicographic band form
 (LAPACK symmetric band reduction) at every size.  Resolvent norms use
 1/dist, which is exact for self-adjoint operators; an independent
-smallest-singular-value check is exposed alongside.  Those band and SVD
-oracles are the only users of scipy, which they import on first call, so
-a campaign or a matrix dump never loads it.
+smallest-singular-value check, a numpy SVD of the one shifted dense
+matrix, is exposed alongside.  The band route is the only user of scipy,
+which it imports on first call, so a campaign, a matrix dump or the SVD
+never loads it.  A NaN energy is rejected before any solve.
 """
 
 import math
@@ -57,13 +58,21 @@ def _banded_eigenvalues(a: SymMatrix) -> np.ndarray:
     return scipy.linalg.eigvals_banded(a.banded())
 
 
+def _require_number(energy: float) -> None:
+    """Raise ValueError for a NaN energy, which every comparison would silently pass or fail."""
+    if math.isnan(energy):
+        raise ValueError(f"energy must be a number, got {energy}")
+
+
 def count_below(a: SymMatrix, energy: float) -> int:
     """Number of eigenvalues strictly below ``energy``."""
+    _require_number(energy)
     return int(np.count_nonzero(_banded_eigenvalues(a) < energy))
 
 
 def dist_to_spectrum(a: SymMatrix, energy: float) -> float:
     """min over eigenvalues of |lambda - energy|."""
+    _require_number(energy)
     return float(np.min(np.abs(_banded_eigenvalues(a) - energy)))
 
 
@@ -78,8 +87,14 @@ def resolvent_norm(a: SymMatrix, energy: float) -> float:
 
 
 def smallest_singular_value(a: SymMatrix, energy: float) -> float:
-    """Smallest singular value of A - E*I, by dense SVD; CapacityError above DENSE_LIMIT."""
-    shifted = a.dense() - energy * np.eye(a.dim)  # the capacity check comes before scipy loads
-    import scipy.linalg
+    """Smallest singular value of A - E*I, by dense SVD; CapacityError above DENSE_LIMIT.
 
-    return float(scipy.linalg.svdvals(shifted)[-1])
+    ``energy`` is subtracted from the diagonal of the one dense matrix in
+    place, so the solve holds a single dim x dim matrix; a non-finite
+    energy raises ValueError first.
+    """
+    if not math.isfinite(energy):
+        raise ValueError(f"energy must be finite, got {energy}")
+    shifted = a.dense()
+    shifted.reshape(-1)[:: a.dim + 1] -= energy
+    return float(np.linalg.svd(shifted, compute_uv=False)[-1])

@@ -10,9 +10,11 @@ match the bundled acceptance tests.
 The tensor and perturbation suites check their instances in blocks: one
 hash draw over all trials, then ``CubeAssembly.eigenvalues``, which solves
 each distinct operator of the block once in stacked calls of bounded
-size.  Each instance's potentials, coupling and energy are bitwise those
-of drawing it alone, so a block changes how fast a suite runs, not what it
-checks.  The dist, resolvent and events suites draw one instance at a time
+size; ``perturbation_check`` takes its block in chunks of that budget.
+Every dense solve holds one matrix, or a stack within the budget: the
+resolvent suite's SVD shifts its one dense matrix in place.  Each
+instance's potentials, coupling and energy are bitwise those of drawing it
+alone, so a block changes how fast a suite runs, not what it checks.  The dist, resolvent and events suites draw one instance at a time
 from a shared generator.  The Lyapunov suite streams its recursion: each
 chain's logs pass through one chunk buffer into numpy's pairwise sums, so
 its memory does not grow with its 10^6 steps.  Its two free chains have a

@@ -227,11 +227,16 @@ def perturbation_check(
 
     which eigenvalue perturbation (Weyl) guarantees for every |h| below
     h_star.  Both spectra come from ``CubeAssembly.eigenvalues``: H_0 from
-    the uncoupled assembly, H_h from one assembly per distinct h, so each
-    distinct operator of the block is solved once.  Reports each
-    instance's first violated clause with all computed quantities; an
-    instance with a divergent resolvent is skipped.  Raises ValueError
-    when some |h| is not below h_star.
+    the uncoupled assembly, H_h from one assembly per distinct h.  The
+    block is solved in chunks of _BLOCK_ELEMENTS // dim instances, the
+    budget ``decide`` keeps for its sums, into preallocated per-instance
+    distances, so each dense solve holds one matrix (or a stack within the
+    budget) and the working set beyond the outputs is one chunk's; each
+    distinct operator of a chunk is solved once.  Reports each instance's
+    first violated clause with all computed quantities; an instance with
+    a divergent resolvent is skipped.  Raises ValueError, before any
+    solve, when some h or energy is not finite or some |h| is not below
+    h_star.
     """
     potentials = np.asarray(potentials, dtype=np.float64)
     shape = (cube.center.n, cube.side**cube.center.d)
@@ -243,21 +248,30 @@ def perturbation_check(
     count = len(potentials)
     h = np.broadcast_to(np.asarray(h, dtype=np.float64), (count,))
     energy = np.broadcast_to(np.asarray(energy, dtype=np.float64), (count,))
+    for name, values in (("h", h), ("energy", energy)):
+        if not np.all(np.isfinite(values)):
+            t = np.argmin(np.isfinite(values))
+            raise ValueError(f"{name} must be finite, got {values[t]} at instance {t}")
     u_norm = interaction_sup_norm(cube, inter)
     bound = h_star(u_norm, sigma, L0, beta)
     strongest = float(np.max(np.abs(h), initial=0.0))
     if strongest >= bound:
         raise ValueError(f"|h| = {strongest} is not below h_star = {bound}")
     threshold = math.exp(-sigma * L0**beta)
-    energies = energy[:, None]
-    free = CubeAssembly.of(cube, inter, 0.0).eigenvalues(potentials)
-    dist_free = np.min(_interval_dists(free, energies, energies), axis=-1)
+    free = CubeAssembly.of(cube, inter, 0.0)
+    dist_free = np.empty(count)
     dist_coupled = np.empty(count)
-    for value in np.unique(h):
-        at = h == value
-        coupled = CubeAssembly.of(cube, inter, float(value)).eigenvalues(potentials[at])
-        e = energies[at]
-        dist_coupled[at] = np.min(_interval_dists(coupled, e, e), axis=-1)
+    chunk = max(1, _BLOCK_ELEMENTS // cube.site_count)
+    for start in range(0, count, chunk):
+        part = slice(start, start + chunk)
+        block, energies, hs = potentials[part], energy[part, None], h[part]
+        ev = free.eigenvalues(block)
+        dist_free[part] = np.min(_interval_dists(ev, energies, energies), axis=-1)
+        coupled = dist_coupled[part]
+        for value in np.unique(hs):
+            at = hs == value
+            ev = CubeAssembly.of(cube, inter, float(value)).eigenvalues(block[at])
+            coupled[at] = np.min(_interval_dists(ev, energies[at], energies[at]), axis=-1)
 
     skipped = (dist_free == 0.0) | (dist_coupled == 0.0)
     slack = 1e-9

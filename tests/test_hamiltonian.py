@@ -277,6 +277,20 @@ def test_symmatrix_rejects_repeated_entries():
         SymMatrix.from_entries(2, [0, 1, 0, 1], [1, 0, 1, 0], [-1.0] * 4)
 
 
+@pytest.mark.parametrize(
+    ("entries", "bad"), [("0 0 nan\n1 1 inf\n", r"\(0, 0\) is not finite: nan"),
+                         ("0 1 -inf\n1 0 -inf\n", r"\(0, 1\) is not finite: -inf")],
+    ids=["diagonal", "off_diagonal"],
+)
+def test_symmatrix_rejects_non_finite_entries(entries, bad):
+    # unchecked, a dump with 0 0 nan and 1 1 inf loads and its
+    # full_spectrum is a silent [-1.414, 1.414]
+    with pytest.raises(ValueError, match=rf"matrix entry {bad}"):
+        read_matrix_dump(io.StringIO("# dim 2\n" + entries))
+    with pytest.raises(ValueError, match=r"matrix entry \(1, 1\) is not finite: nan"):
+        SymMatrix.from_dense(np.diag([1.0, math.nan]))
+
+
 def test_square_lattice_spectrum_separates():
     # free d=2 Dirichlet square: eigenvalues are sums of two 1D chain values
     cube2 = Cube(Site(1, 2, (0, 0)), 2)

@@ -1,9 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wegnerlab
+import wegnerlab.spectral as spectral
 from wegnerlab.errors import CapacityError
 from wegnerlab.hamiltonian import InteractionSpec, SymMatrix, build_hamiltonian
 from wegnerlab.lattice import Cube, Site
@@ -193,3 +200,69 @@ def test_dist_zero_iff_count_jumps():
     for energy in (2.0, 2.5):
         jumps = count_below(m, energy + eps) > count_below(m, energy - eps)
         assert (dist_to_spectrum(m, energy) <= 1e-12) == jumps
+
+
+@pytest.mark.parametrize("query", [count_below, dist_to_spectrum, resolvent_norm])
+def test_nan_energy_is_rejected_before_any_solve(monkeypatch, query):
+    # unchecked, count_below(m, nan) is 0 and the distance and norm are nan
+    def no_solve(a):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(spectral, "_banded_eigenvalues", no_solve)
+    with pytest.raises(ValueError, match="energy must be a number, got nan"):
+        query(diag_matrix(1.0, 3.0), math.nan)
+
+
+def test_infinite_energies_keep_their_meaning():
+    m = diag_matrix(1.0, 3.0)
+    assert count_below(m, math.inf) == 2 and count_below(m, -math.inf) == 0
+    assert dist_to_spectrum(m, math.inf) == math.inf
+    assert resolvent_norm(m, -math.inf) == 0.0
+
+
+@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+def test_smallest_singular_value_rejects_a_non_finite_energy(energy):
+    # unchecked, the SVD of a non-finite matrix does not converge
+    with pytest.raises(ValueError, match=f"energy must be finite, got {energy}"):
+        smallest_singular_value(diag_matrix(1.0, 3.0), energy)
+
+
+def test_smallest_singular_value_shifts_the_one_dense_matrix_in_place():
+    # dim 1001: the solve holds the dense matrix and nothing of its size
+    # beside it, as DENSE_LIMIT assumes
+    dim = 1001
+    sites = np.arange(dim - 1)
+    m = SymMatrix(np.linspace(0.0, 2.0, dim), sites, sites + 1, np.full(dim - 1, -1.0))
+    energy = 0.3
+    smallest_singular_value(diag_matrix(1.0), 0.0)  # numpy's first-call set-up is not traced
+    tracemalloc.start()
+    try:
+        sigma = smallest_singular_value(m, energy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * dim * dim, peak / (8 * dim * dim)
+    assert sigma == pytest.approx(dist_to_spectrum(m, energy), rel=1e-10)
+    assert smallest_singular_value(diag_matrix(1.0, -3.0, 2.5), 0.5) == 0.5
+
+
+def test_smallest_singular_value_does_not_load_scipy():
+    # a fresh process: pytest itself has already imported scipy
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from wegnerlab.hamiltonian import SymMatrix\n"
+        "from wegnerlab.spectral import smallest_singular_value\n"
+        "m = SymMatrix.from_dense(np.array([[2.0, -1.0], [-1.0, 2.0]]))\n"
+        "print(smallest_singular_value(m, 0.5), 'scipy' in sys.modules)\n"
+    )
+    src = str(Path(wegnerlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    sigma, loaded = proc.stdout.split()
+    assert float(sigma) == pytest.approx(0.5, rel=1e-14)
+    assert loaded == "False"

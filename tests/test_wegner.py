@@ -456,6 +456,49 @@ def test_block_perturbation_check_matches_the_per_instance_reference(seed):
     assert checked >= 1000 and skipped > 0
 
 
+def _peak_perturbation_check(*args):
+    tracemalloc.start()
+    try:
+        perturbation_check(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_perturbation_check_works_in_chunks_of_the_block_budget():
+    # the suite's dim-49 cube: a block four chunks long peaks at one
+    # chunk's working set plus its longer per-instance outputs, a few
+    # floats each, not at four chunks' eigenvalues and distances
+    chunk = wegner._BLOCK_ELEMENTS // 49
+    cube, inter, potentials, h, energy = verify._perturbation_block(4 * chunk, 20260805)
+    assert cube.site_count == 49
+    # a first call outside the trace, so one-time set-up is not counted
+    perturbation_check(cube, potentials[:3], inter, h[:3], energy[:3], 1.0, 0.5, 3)
+    one = _peak_perturbation_check(
+        cube, potentials[:chunk], inter, h[:chunk], energy[:chunk], 1.0, 0.5, 3
+    )
+    four = _peak_perturbation_check(cube, potentials, inter, h, energy, 1.0, 0.5, 3)
+    assert four - one <= 128 * 3 * chunk, (one, four)
+
+
+@pytest.mark.parametrize("name", ["h", "energy"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_perturbation_check_rejects_non_finite_input_before_solving(monkeypatch, name, value):
+    # unchecked, a NaN h passes the h_star guard (nan >= bound is False)
+    # and a NaN energy gives ok on every instance
+    cube, potentials, inter = _perturbation_setup()
+    block = np.stack([potentials, potentials])
+    args = {"h": [0.0, 0.0], "energy": [2.0, 2.0]}
+    args[name] = [args[name][0], value]
+
+    def no_solve(self, potentials):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(CubeAssembly, "eigenvalues", no_solve)
+    with pytest.raises(ValueError, match=rf"{name} must be finite, got {value} at instance 1"):
+        perturbation_check(cube, block, inter, args["h"], args["energy"], 1.0, 0.5, 3)
+
+
 def test_wilson_interval_zero_successes():
     lo, hi = wilson_interval(0, 10**4)
     assert lo == 0.0

@@ -52,7 +52,7 @@ def test_c2_dist_oracle():
     result = dist_suite(instances=100)
     elapsed = time.perf_counter() - started
     ok = report(
-        "criterion 2, banded-vs-dense dist oracle",
+        "criterion 2, band-inertia-vs-dense count oracle",
         result.passed and elapsed < 30.0,
         f"{result.detail}, {elapsed:.1f}s",
     )

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -802,3 +803,38 @@ def test_commands_never_load_scipy_or_numpy_random(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == []
     for name in ("run.csv", "matrix.txt", "sweep.csv"):
         assert (tmp_path / name).stat().st_size > 0
+
+
+def test_verify_never_loads_scipy():
+    # a fresh process, as above: every suite, through the click entry point
+    script = (
+        "import sys\n"
+        "from wegnerlab.cli import main\n"
+        "code = main.main(args=['verify'], prog_name='wegnerlab', standalone_mode=False)\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+    src = str(Path(wegnerlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 7 and all(" PASS " in line for line in lines[:6]), proc.stdout
+    assert lines[-1] == "0 False"
+
+
+def test_no_module_imports_scipy():
+    package = Path(wegnerlab.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) >= 10
+    for module in modules:
+        for node in ast.walk(ast.parse(module.read_text(), str(module))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), module.name

@@ -170,6 +170,105 @@ def test_two_particle_distances_match_sumset():
         assert count_below(m, energy) == i + 1
 
 
+def _count_cases():
+    """(matrix, points per eigenvalue side) for each shape the recursion meets.
+
+    n = 1, 2, 3, d = 1, 2, h = 0 and +-0.5.  A chain (b = 1) counts any
+    number of points in one pass over its sites, so it takes more of them.
+    """
+    shapes = [
+        (1, 1, 12), (1, 1, 40), (1, 2, 4), (2, 1, 3), (2, 1, 4), (2, 2, 1), (3, 1, 1), (3, 1, 2)
+    ]
+    dists = [DistributionSpec.uniform(0.0, 2.0), DistributionSpec.bernoulli(0.5, 0.0, 1.0)]
+    contact = InteractionSpec.pair_contact(0, 1.0)
+    for n, d, L in shapes:
+        cube = Cube(Site(n, d, (0,) * (n * d)), L)
+        chain = n * d == 1
+        for h in (0.0,) if n == 1 else (0.0, 0.5, -0.5):
+            for seed in range(16 if chain else 8):
+                potentials = sample_field(dists[seed % 2], cube.particle_points(), seed, 0)
+                yield build_hamiltonian(cube, potentials, contact, h), 60 if chain else 12
+
+
+def test_certified_counts_match_dense_counts():
+    # random points, and points 1e-9 either side of random eigenvalues
+    rng = np.random.default_rng(2026)
+    certified_counts = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m, per_side in _count_cases():
+            ev = full_spectrum(m).eigenvalues
+            near = ev[rng.integers(0, m.dim, per_side)]
+            points = np.concatenate(
+                [rng.uniform(ev[0] - 1, ev[-1] + 1, 4 * per_side // 3), near - 1e-9, near + 1e-9]
+            )
+            counts, certified = spectral.band_inertia(m, points)
+            dense = np.searchsorted(ev, points)
+            assert np.array_equal(counts[certified], dense[certified])
+            certified_counts += int(np.count_nonzero(certified))
+    assert certified_counts >= 10**4, certified_counts
+
+
+def test_a_near_singular_pivot_leaves_its_counts_uncertified():
+    # the dist suite's instance 35 at its default seed: n = 3, L = 1, h = 0,
+    # dim 27, b = 9.  Next to its 6-fold eigenvalue 4.5858 the first slab's
+    # pivot is near singular, and the rounding it carries can flip a count.
+    from wegnerlab.verify import _random_instance
+
+    m = _random_instance(np.random.default_rng(0), 20260802, 35)
+    ev = full_spectrum(m).eigenvalues
+    lam = ev[np.argmin(np.abs(ev - 4.5858))]
+    assert m.dim == 27 and np.count_nonzero(np.abs(ev - lam) < 1e-12) == 6
+    points = lam + np.array([-1e-6, -1e-9, 1e-9, 1e-6])
+    counts, certified = spectral.band_inertia(m, points)
+    dense = np.searchsorted(ev, points)
+    assert dense.tolist() == [4, 4, 10, 10]
+    assert np.array_equal(counts[certified], dense[certified])
+    assert [count_below(m, float(p)) for p in points] == dense.tolist()
+
+
+def test_exact_zero_pivots_give_no_warning_and_no_wrong_count():
+    # diag(1, 2, 3) at 2, and 0/1 potentials at integer energies, where a
+    # prefix continuant and so a pivot is exactly zero
+    bernoulli = DistributionSpec.bernoulli(0.5, 0.0, 1.0)
+    uncertified = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts, certified = spectral.band_inertia(diag_matrix(1.0, 2.0, 3.0), np.array([2.0]))
+        assert counts.tolist() == [1] and not certified[0]
+        assert count_below(diag_matrix(1.0, 2.0, 3.0), 2.0) == 1
+        for n, d, L in [(1, 1, 8), (1, 1, 30), (1, 2, 3), (2, 1, 3)]:
+            cube = Cube(Site(n, d, (0,) * (n * d)), L)
+            energies = np.arange(2.0 * n * d + 2.0)
+            for seed in range(8):
+                potentials = sample_field(bernoulli, cube.particle_points(), seed, 0)
+                m = build_hamiltonian(cube, potentials, InteractionSpec.none(), 0.0)
+                counts, certified = spectral.band_inertia(m, energies)
+                dense = np.searchsorted(full_spectrum(m).eigenvalues, energies)
+                assert np.array_equal(counts[certified], dense[certified])
+                uncertified += int(np.count_nonzero(~certified))
+    assert uncertified > 0
+
+
+def test_count_below_refuses_an_uncertified_count_above_the_dense_limit():
+    # 2 is the middle eigenvalue of the odd chain, and its first pivot is 0
+    n = 4097
+    rows = np.arange(n - 1)
+    chain = SymMatrix(np.full(n, 2.0), rows, rows + 1, np.full(n - 1, -1.0))
+    with pytest.raises(ValueError, match="the count below 2.0 is not certified"):
+        count_below(chain, 2.0)
+    assert count_below(chain, 2.0 - 1e-9) == 2048
+    assert count_below(chain, 2.0 + 1e-9) == 2049
+    assert dist_to_spectrum(chain, 2.0) <= 1e-12 * (1.0 + 2.0 + 4.0)
+
+
+def test_band_inertia_takes_infinite_and_nan_points():
+    m = random_hamiltonian(3, n=2, L=2)
+    counts, certified = spectral.band_inertia(m, np.array([-math.inf, math.inf, math.nan]))
+    assert counts.tolist() == [0, m.dim, 0]
+    assert certified.tolist() == [True, True, False]
+
+
 def test_resolvent_norm_examples():
     m = diag_matrix(1.0, 3.0)
     assert resolvent_norm(m, 2.0) == 1.0
@@ -205,10 +304,11 @@ def test_dist_zero_iff_count_jumps():
 @pytest.mark.parametrize("query", [count_below, dist_to_spectrum, resolvent_norm])
 def test_nan_energy_is_rejected_before_any_solve(monkeypatch, query):
     # unchecked, count_below(m, nan) is 0 and the distance and norm are nan
-    def no_solve(a):
+    def no_solve(*args):
         raise AssertionError("solved")
 
-    monkeypatch.setattr(spectral, "_banded_eigenvalues", no_solve)
+    monkeypatch.setattr(spectral, "_inertia", no_solve)
+    monkeypatch.setattr(spectral, "full_spectrum", no_solve)
     with pytest.raises(ValueError, match="energy must be a number, got nan"):
         query(diag_matrix(1.0, 3.0), math.nan)
 

@@ -170,6 +170,28 @@ def test_two_particle_distances_match_sumset():
         assert count_below(m, energy) == i + 1
 
 
+def test_two_particle_distances_above_dense_limit_match_sumset():
+    # b = 65 above the cap: the bracket stops at the counts' backward error
+    cube = Cube(Site(2, 1, (0, 0)), 32)
+    potentials = sample_field(
+        DistributionSpec.bernoulli(0.5, 0.0, 1.0), cube.particle_points(), 5, 0
+    )
+    none = InteractionSpec.none()
+    m = build_hamiltonian(cube, potentials, none, 0.0)
+    assert m.dim == 4225 > spectral.DENSE_LIMIT and m.banded().shape == (66, 4225)
+    factors = [Cube(Site(1, 1, cube.center.particle(i)), cube.radius) for i in range(2)]
+    sums = sorted_sums([
+        full_spectrum(build_hamiltonian(f, potentials[i : i + 1], none, 0.0)).eigenvalues
+        for i, f in enumerate(factors)
+    ])
+    gaps = np.flatnonzero(np.diff(sums) > 1e-6)
+    for i in gaps[[0, gaps.size // 2, -1]]:
+        assert count_below(m, 0.5 * (sums[i] + sums[i + 1])) == i + 1
+    i = gaps[gaps.size // 2]
+    energy = 0.5 * (sums[i] + sums[i + 1])
+    assert abs(dist_to_spectrum(m, energy) - np.min(np.abs(sums - energy))) <= 1e-9
+
+
 def _count_cases():
     """(matrix, points per eigenvalue side) for each shape the recursion meets.
 

@@ -28,7 +28,7 @@ from .config import (
 )
 from .hamiltonian import SCAN_LIMIT, build_hamiltonian, write_matrix_dump
 from .lattice import Cube, Site
-from .randomfield import sample_field
+from .randomfield import sample_field, validate
 from .verify import ALL_SUITES, run_suites
 from .wegner import capacity_problems, mc_estimate, validate_query
 
@@ -184,8 +184,10 @@ def verify(ctx, suites):
 def lyapunov_sweep(config_path, out_path, seed):
     """Estimate the Lyapunov exponent over the configured energy grid.
 
-    Uses the model distribution (degenerate measures are allowed here for
-    closed-form diagnostics) and the optional ``sweep`` config section.
+    Uses the model distribution and the optional ``sweep`` config section.
+    The measure is checked as ``run`` checks it, except that a single-point
+    support is allowed here for closed-form diagnostics; every other
+    violation is reported before any sampling.
     """
     config = _load_config(config_path, seed)
     if config.model.d != 1:
@@ -193,7 +195,12 @@ def lyapunov_sweep(config_path, out_path, seed):
     sweep = config.sweep
     if sweep is None:
         raise click.ClickException("config has no 'sweep' section")
-    _require_valid(validate_sweep(sweep) + validate_seed(config.run.seed))
+    measure = [
+        f"distribution: {v}"
+        for v in validate(config.model.distribution)
+        if v != "single-point support"
+    ]
+    _require_valid(measure + validate_sweep(sweep) + validate_seed(config.run.seed))
     estimates = transfer.lyapunov_sweep(
         np.linspace(sweep.e_min, sweep.e_max, sweep.points),
         config.model.distribution,

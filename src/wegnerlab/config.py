@@ -305,6 +305,11 @@ def validate_config(config: ExperimentConfig) -> list[str]:
         problems.append(f"trials must be >= 1, got {config.run.trials}")
     nd = config.model.n * config.model.d
     offset = config.run.offset
+    if offset is not None and config.run.event != "two_volume":
+        problems.append(
+            "run.offset places the second cube of the two_volume event; "
+            f"event {config.run.event!r} has no second cube"
+        )
     if offset is not None and len(offset) != nd:
         problems.append(f"offset length {len(offset)} does not match n*d = {nd}")
     reach = max(config.model.L_list, default=0)

@@ -76,7 +76,7 @@ class SymMatrix:
     (..., dim) diagonal is a stack of matrices that share their
     off-diagonal triples: ``dense`` gives the (..., dim, dim) stack and
     ``diagonal`` and ``gershgorin_radii`` serve every matrix of it, while
-    ``banded``, ``nonzeros`` and ``inf_norm`` take only one matrix.
+    ``nonzeros`` and ``inf_norm`` take only one matrix.
     """
 
     diag: np.ndarray
@@ -90,7 +90,12 @@ class SymMatrix:
 
     @classmethod
     def from_entries(cls, dim: int, rows, cols, vals) -> "SymMatrix":
-        """From (row, col, value) triples; rejects non-finite, repeated and unmirrored entries."""
+        """From (row, col, value) triples.
+
+        Rejects a dim below 1 and non-finite, repeated and unmirrored entries.
+        """
+        if dim < 1:
+            raise ValueError(f"matrix dimension must be >= 1, got {dim}")
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
         if np.any((rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim)):
@@ -132,18 +137,6 @@ class SymMatrix:
         m[..., self.cols * dim + self.rows] = self.vals
         m[..., :: dim + 1] = self.diag
         return m.reshape(lead + (dim, dim))
-
-    def banded(self) -> np.ndarray:
-        """Upper band storage ``ab`` with ``ab[bw + i - j, j] = a[i, j]``.
-
-        The band width bw is max(cols - rows), 0 without off-diagonals; the
-        lexicographic cube enumeration gives bw = side^(nd-1).
-        """
-        bw = int(np.max(self.cols - self.rows, initial=0))
-        ab = np.zeros((bw + 1, self.dim))
-        ab[bw] = self.diag
-        ab[bw + self.rows - self.cols, self.cols] = self.vals
-        return ab
 
     def diagonal(self) -> np.ndarray:
         return self.diag

@@ -121,6 +121,8 @@ def validate(spec: DistributionSpec) -> list[str]:
     if spec.kind == "bernoulli":
         if not all(math.isfinite(v) for v in (spec.p, spec.lo, spec.hi)):
             violations.append("non-finite parameter")
+        elif not 0.0 <= spec.p <= 1.0:
+            violations.append(f"p must lie in [0, 1], got {spec.p}")
         elif not 0.0 < spec.p < 1.0 or spec.lo == spec.hi:
             violations.append("single-point support")
     elif spec.kind == "uniform":

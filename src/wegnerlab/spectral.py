@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import DENSE_LIMIT, SymMatrix  # noqa: F401  (DENSE_LIMIT is re-exported)
+from .hamiltonian import DENSE_LIMIT, SymMatrix
 
 # Rounding error of one recursion step on blocks of width b: _ERROR_FACTOR * b * unit roundoff.
 _ERROR_FACTOR = 8.0
@@ -71,20 +71,21 @@ def full_spectrum(a: SymMatrix) -> Spectrum:
 def _band_blocks(a: SymMatrix):
     """A's diagonal blocks A_k and couplings B_k = A[block k-1, block k], of the band width b.
 
-    Returns the (m, b, b) and (m - 1, b, b) stacks and the size of the last
-    block, which holds the dim - (m-1) b remaining rows (zero-padded in the
-    stacks).
+    b = max(cols - rows), at least 1; the lexicographic cube enumeration
+    gives b = side^(nd-1).  Returns the (m, b, b) and (m - 1, b, b) stacks
+    and the size of the last block, which holds the dim - (m-1) b remaining
+    rows (zero-padded in the stacks).
     """
-    ab = a.banded()
-    bw = ab.shape[0] - 1
-    b = max(bw, 1)
+    b = max(1, int(np.max(a.cols - a.rows, initial=0)))
     m = -(-a.dim // b)
-    ab = np.pad(ab, ((0, 0), (0, m * b - a.dim)))
-    i, j = np.indices((b, b))
-    starts = b * np.arange(m)[:, None, None]
-    diag = ab[bw - np.abs(i - j), starts + np.maximum(i, j)]
-    inside = b + j - i <= bw  # A[(k-1) b + i, k b + j] lies in the band
-    coupling = np.where(inside, ab[np.where(inside, bw - b + i - j, 0), starts[1:] + j], 0.0)
+    diag, coupling = np.zeros((m, b, b)), np.zeros((m - 1, b, b))
+    sites = np.arange(a.dim)
+    diag[sites // b, sites % b, sites % b] = a.diag
+    k, i, j = a.rows // b, a.rows % b, a.cols % b
+    inside = a.cols // b == k
+    diag[k[inside], i[inside], j[inside]] = a.vals[inside]
+    diag[k[inside], j[inside], i[inside]] = a.vals[inside]
+    coupling[k[~inside], i[~inside], j[~inside]] = a.vals[~inside]
     return diag, coupling, a.dim - (m - 1) * b
 
 
@@ -185,17 +186,19 @@ def _inertia(blocks, norm: float, z: np.ndarray):
 def band_inertia(a: SymMatrix, points):
     """(counts, certified): eigenvalues strictly below each point, and whether that count is sure.
 
-    ``points`` is a 1-D array, counted in one pass of the block recursion
-    over A's band layout (module docstring), with a backward error eta at
-    each point (``_backward_error``).  A second pass counts at z -+ 4 eta:
-    the count at z is certified when those two agree, each with a backward
-    error of at most 2 eta, for then no eigenvalue lies within 2 eta of z.
-    For b = 1, eta does not depend on the pass, so one pass counts z and
-    z -+ 4 eta together.  An uncertified count may be wrong, and a certified
+    ``points`` is an array of any shape, which the results take.  They are
+    counted in one pass of the block recursion over A's band layout (module
+    docstring), with a backward error eta at each point
+    (``_backward_error``).  A second pass counts at z -+ 4 eta: the count at
+    z is certified when those two agree, each with a backward error of at
+    most 2 eta, for then no eigenvalue lies within 2 eta of z.  For b = 1,
+    eta does not depend on the pass, so one pass counts z and z -+ 4 eta
+    together.  An uncertified count may be wrong, and a certified
     one is as sure as eta.  Infinite points count 0 or dim, certified; NaN
     points count 0, uncertified.
     """
-    z = np.asarray(points, dtype=np.float64)
+    shape = np.shape(points)
+    z = np.asarray(points, dtype=np.float64).reshape(-1)
     counts = np.where(z > 0, a.dim, 0).astype(np.int64)
     certified = np.isinf(z)
     finite = np.isfinite(z)
@@ -211,7 +214,7 @@ def band_inertia(a: SymMatrix, points):
             around, eta_around = _inertia(blocks, norm, np.concatenate([zf - 4 * eta, zf + 4 * eta]))
             below, above = np.split(around, 2)
             certified[finite] = (below == above) & (np.max(np.split(eta_around, 2), axis=0) <= 2 * eta)
-    return counts, certified
+    return counts.reshape(shape), certified.reshape(shape)
 
 
 def _require_number(energy: float) -> None:

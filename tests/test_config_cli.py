@@ -479,6 +479,26 @@ def test_run_two_volume_records_offset(tmp_path):
     assert rows[0]["window_lo"] != ""
 
 
+@pytest.mark.parametrize("event", ["fixed", "variable"])
+def test_offset_is_rejected_without_a_second_cube(tmp_path, event):
+    # unchecked, a fixed run with an offset recorded it in the CSV although
+    # only the two-volume event places a second cube
+    doc = make_config(**{"model.n": 2, "run.event": event, "run.offset": [9, 9]})
+    problems = validate_config(parse_config(json.dumps(doc)))
+    assert problems == [
+        f"run.offset places the second cube of the two_volume event; event {event!r} has "
+        "no second cube"
+    ]
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "r.csv"
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+    assert "config violation" in result.output
+    assert not out.exists()
+    doc["run"]["offset"] = None
+    assert validate_config(parse_config(json.dumps(doc))) == []
+
+
 def test_verify_single_suite_runs(tmp_path):
     runner = CliRunner()
     result = runner.invoke(main, ["verify", "--suite", "tensor"])
@@ -770,6 +790,52 @@ def test_lyapunov_sweep_checks_section_before_writing(tmp_path, monkeypatch, swe
     assert "config violation" in result.output
     assert message in result.output
     assert "single-point support" not in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "distribution, message",
+    [
+        ({"kind": "finite", "values": [], "weights": []}, "values/weights length mismatch"),
+        (
+            {"kind": "finite", "values": [0.0, 1.0, 2.0], "weights": [0.5, 0.5]},
+            "values/weights length mismatch",
+        ),
+        (
+            {"kind": "finite", "values": [0.0, 1.0], "weights": [0.1, 0.1]},
+            "weights do not sum to 1",
+        ),
+        ({"kind": "finite", "values": [0.0, 1.0], "weights": [-1.0, 2.0]}, "negative weight"),
+        ({"kind": "uniform", "lo": 2.0, "hi": 1.0}, "empty support"),
+        ({"kind": "uniform", "lo": -1e308, "hi": 1e308}, "support width hi - lo is not finite"),
+        ({"kind": "bernoulli", "p": 1.5}, "p must lie in [0, 1], got 1.5"),
+    ],
+    ids=[
+        "empty", "unweighted_value", "weights_sum", "negative_weight", "lo_above_hi",
+        "infinite_width", "p_above_one",
+    ],
+)
+def test_lyapunov_sweep_checks_measure_before_writing(
+    tmp_path, monkeypatch, distribution, message
+):
+    # unchecked, the empty measure raised IndexError mid-sweep and the
+    # others wrote a CSV of a measure the config does not describe
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the sweep started sampling")
+
+    monkeypatch.setattr(cli.np, "linspace", no_sampling)
+    monkeypatch.setattr(cli.transfer, "lyapunov_sweep", no_sampling)
+    doc = json.loads((REPO / "configs" / "lyapunov_sweep.json").read_text())
+    doc["model"]["distribution"] = distribution
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "sweep.csv"
+    result = CliRunner().invoke(
+        main, ["lyapunov-sweep", "--config", str(config), "--out", str(out)]
+    )
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # a violation report, not a raw error
+    assert "config violation" in result.output
+    assert f"distribution: {message}" in result.output
     assert not out.exists()
 
 

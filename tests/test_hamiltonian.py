@@ -20,7 +20,12 @@ from wegnerlab.hamiltonian import (
 )
 from wegnerlab.lattice import Cube, Site
 from wegnerlab.randomfield import DistributionSpec, draw_values, sample_field
-from wegnerlab.spectral import full_spectrum, gershgorin_interval, smallest_singular_value
+from wegnerlab.spectral import (
+    _band_blocks,
+    full_spectrum,
+    gershgorin_interval,
+    smallest_singular_value,
+)
 from wegnerlab.tensor import verify_decomposition
 from wegnerlab.wegner import perturbation_check
 
@@ -231,28 +236,35 @@ def test_matrix_dump_round_trip():
     assert np.array_equal(back.dense(), m.dense())
 
 
-def _unband(ab: np.ndarray) -> np.ndarray:
-    bw, dim = ab.shape[0] - 1, ab.shape[1]
-    m = np.zeros((dim, dim))
-    for k in range(bw + 1):
-        for j in range(bw - k, dim):
-            m[j - bw + k, j] = m[j, j - bw + k] = ab[k, j]
-    return m
+def _unblock(diag, coupling, last):
+    """The dense matrix of ``_band_blocks``' blocks, checking that their padding is zero."""
+    m, b = diag.shape[:2]
+    full = np.zeros((m * b, m * b))
+    for k in range(m):
+        full[k * b : (k + 1) * b, k * b : (k + 1) * b] = diag[k]
+    for k in range(m - 1):
+        full[k * b : (k + 1) * b, (k + 1) * b : (k + 2) * b] = coupling[k]
+        full[(k + 1) * b : (k + 2) * b, k * b : (k + 1) * b] = coupling[k].T
+    dim = (m - 1) * b + last
+    assert not full[dim:].any() and not full[:, dim:].any()
+    return full[:dim, :dim]
 
 
-def test_banded_storage_holds_the_matrix():
+def test_band_blocks_hold_the_matrix():
     for n, d, L in ((1, 1, 3), (2, 1, 2), (1, 2, 2), (3, 1, 1)):
         cube = Cube(Site(n, d, (0,) * (n * d)), L)
         m = build_hamiltonian(cube, bernoulli_field(cube, 8), NONE, 0.0)
-        ab = m.banded()
-        assert ab.shape == (cube.side ** (n * d - 1) + 1, m.dim)
-        assert np.array_equal(_unband(ab), m.dense())
+        blocks = _band_blocks(m)
+        b = cube.side ** (n * d - 1)
+        assert blocks[0].shape == (-(-m.dim // b), b, b)
+        assert np.array_equal(_unblock(*blocks), m.dense())
         buf = io.StringIO()
         write_matrix_dump(m, buf)
         back = read_matrix_dump(io.StringIO(buf.getvalue()))
-        assert np.array_equal(back.banded(), ab)
-    single = SymMatrix.from_dense(np.diag([3.0, -1.0]))
-    assert np.array_equal(single.banded(), [[3.0, -1.0]])
+        assert all(map(np.array_equal, _band_blocks(back), blocks))
+    diag, coupling, last = _band_blocks(SymMatrix.from_dense(np.diag([3.0, -1.0])))
+    assert diag.shape == (2, 1, 1) and coupling.shape == (1, 1, 1) and last == 1
+    assert np.array_equal(diag[:, 0, 0], [3.0, -1.0]) and not coupling.any()
 
 
 def test_symmatrix_rejects_asymmetric():
@@ -264,6 +276,18 @@ def test_symmatrix_rejects_asymmetric():
         read_matrix_dump(io.StringIO("# dim 3\n0 2 -1.0\n"))
     with pytest.raises(ValueError, match="outside"):
         read_matrix_dump(io.StringIO("# dim 2\n2 2 1.0\n"))
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_symmatrix_rejects_dimension_below_one(dim):
+    # unchecked, a "# dim 0" dump loads and every count or distance on it
+    # fails with numpy's zero-size reduction error
+    with pytest.raises(ValueError, match=f"matrix dimension must be >= 1, got {dim}"):
+        read_matrix_dump(io.StringIO(f"# wegnerlab matrix dump v1\n# dim {dim}\n"))
+    with pytest.raises(ValueError, match=f"matrix dimension must be >= 1, got {dim}"):
+        SymMatrix.from_entries(dim, [], [], [])
+    with pytest.raises(ValueError, match="matrix dimension must be >= 1, got 0"):
+        SymMatrix.from_dense(np.zeros((0, 0)))
 
 
 def test_symmatrix_rejects_repeated_entries():

@@ -31,6 +31,12 @@ def test_validate_degenerate_bernoulli():
     assert "single-point support" in validate(DistributionSpec.bernoulli(0.5, 2.0, 2.0))
 
 
+def test_validate_bernoulli_p_outside_unit_interval():
+    # p = 1.5 draws hi at every site, as p = 1 does, but is no probability
+    assert validate(DistributionSpec.bernoulli(1.5)) == ["p must lie in [0, 1], got 1.5"]
+    assert validate(DistributionSpec.bernoulli(-0.25)) == ["p must lie in [0, 1], got -0.25"]
+
+
 def test_validate_weights():
     assert "weights do not sum to 1" in validate(
         DistributionSpec.finite([0.0, 1.0], [0.5, 0.6])

@@ -146,7 +146,7 @@ def test_dirichlet_chain_above_dense_limit():
     energy = 0.5 * (ev[k - 1] + ev[k])  # about 3e-4 from both neighbours
     assert abs(dist_to_spectrum(chain, energy) - (energy - ev[k - 1])) <= 1e-9
     assert count_below(chain, energy) == k
-    assert chain.banded().shape == (2, n)
+    assert spectral._band_blocks(chain)[0].shape == (n, 1, 1)
 
 
 def test_two_particle_distances_match_sumset():
@@ -156,7 +156,7 @@ def test_two_particle_distances_match_sumset():
     )
     none = InteractionSpec.none()
     m = build_hamiltonian(cube, potentials, none, 0.0)
-    assert m.dim == 1681 and m.banded().shape == (42, 1681)
+    assert m.dim == 1681 and spectral._band_blocks(m)[0].shape == (41, 41, 41)
     factors = [Cube(Site(1, 1, cube.center.particle(i)), cube.radius) for i in range(2)]
     singles = [
         full_spectrum(build_hamiltonian(f, potentials[i : i + 1], none, 0.0))
@@ -178,7 +178,8 @@ def test_two_particle_distances_above_dense_limit_match_sumset():
     )
     none = InteractionSpec.none()
     m = build_hamiltonian(cube, potentials, none, 0.0)
-    assert m.dim == 4225 > spectral.DENSE_LIMIT and m.banded().shape == (66, 4225)
+    assert m.dim == 4225 > spectral.DENSE_LIMIT
+    assert spectral._band_blocks(m)[0].shape == (65, 65, 65)
     factors = [Cube(Site(1, 1, cube.center.particle(i)), cube.radius) for i in range(2)]
     sums = sorted_sums([
         full_spectrum(build_hamiltonian(f, potentials[i : i + 1], none, 0.0)).eigenvalues
@@ -289,6 +290,20 @@ def test_band_inertia_takes_infinite_and_nan_points():
     counts, certified = spectral.band_inertia(m, np.array([-math.inf, math.inf, math.nan]))
     assert counts.tolist() == [0, m.dim, 0]
     assert certified.tolist() == [True, True, False]
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["chain", "blocks"])
+def test_band_inertia_takes_points_of_any_shape(n):
+    m = random_hamiltonian(3, n=n, L=2)
+    flat = np.array([4.0, -math.inf, math.nan, 1.0, 2.5, math.inf])
+    counts, certified = spectral.band_inertia(m, flat)
+    for points in (flat.reshape(2, 3), flat.reshape(3, 1, 2)):
+        shaped = spectral.band_inertia(m, points)
+        assert np.array_equal(shaped[0], counts.reshape(points.shape))
+        assert np.array_equal(shaped[1], certified.reshape(points.shape))
+    count, sure = spectral.band_inertia(m, 4.0)
+    assert count.shape == sure.shape == ()
+    assert count == counts[0] and sure == certified[0]
 
 
 def test_resolvent_norm_examples():

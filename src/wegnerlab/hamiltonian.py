@@ -74,9 +74,10 @@ class SymMatrix:
     (rows, cols, vals) with rows < cols; each off-diagonal entry is held
     once, so the matrix is symmetric by construction.  A stacked
     (..., dim) diagonal is a stack of matrices that share their
-    off-diagonal triples: ``dense`` gives the (..., dim, dim) stack and
-    ``diagonal`` and ``gershgorin_radii`` serve every matrix of it, while
-    ``nonzeros`` and ``inf_norm`` take only one matrix.
+    off-diagonal triples: ``dense`` gives the (..., dim, dim) stack,
+    ``diagonal`` and ``gershgorin_radii`` serve every matrix of it and
+    ``inf_norm`` gives one norm per matrix, while ``nonzeros`` takes only
+    one matrix.
     """
 
     diag: np.ndarray
@@ -146,8 +147,10 @@ class SymMatrix:
         mags = np.abs(self.vals)
         return np.bincount(self.rows, mags, self.dim) + np.bincount(self.cols, mags, self.dim)
 
-    def inf_norm(self) -> float:
-        return float(np.max(np.abs(self.diag) + self.gershgorin_radii()))
+    def inf_norm(self):
+        """max_i sum_j |A_ij|: a float for one matrix, an array for a stack."""
+        norms = np.max(np.abs(self.diag) + self.gershgorin_radii(), axis=-1)
+        return float(norms) if norms.ndim == 0 else norms
 
     def nonzeros(self):
         """Iterator over (row, col, value) of the nonzero entries, sorted by (row, col)."""
@@ -335,20 +338,31 @@ def write_matrix_dump(matrix: SymMatrix, stream):
 
 
 def read_matrix_dump(stream) -> SymMatrix:
-    """Parse the write_matrix_dump format back into a SymMatrix."""
+    """Parse the write_matrix_dump format back into a SymMatrix.
+
+    Raises ValueError for a second ``# dim`` header, naming both values,
+    and for an entry line that is not ``row col value``, naming its line
+    number and text.
+    """
     dim = None
     triples = []
-    for line in stream:
+    for number, line in enumerate(stream, 1):
         line = line.strip()
         if not line:
             continue
         if line.startswith("#"):
             parts = line[1:].split()
             if len(parts) == 2 and parts[0] == "dim":
+                if dim is not None:
+                    raise ValueError(f"matrix dump gives '# dim' twice: {dim}, then {parts[1]}")
                 dim = int(parts[1])
             continue
-        r, c, v = line.split()
-        triples.append((int(r), int(c), float(v)))
+        try:
+            r, c, v = line.split()
+            triples.append((int(r), int(c), float(v)))
+        except ValueError:
+            message = f"matrix dump line {number} is not 'row col value': {line!r}"
+            raise ValueError(message) from None
     if dim is None:
         raise ValueError("matrix dump is missing the '# dim N' header")
     rows, cols, vals = zip(*triples) if triples else ((), (), ())

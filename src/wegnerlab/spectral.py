@@ -11,7 +11,9 @@ For b = 1 this is the scalar Sturm recursion.  Each count at z is taken
 as the exact count of a matrix within a backward error eta of A, which for
 b > 1 includes the rounding carried through ||S_(k-1)^-1||; eta is a
 calibrated bound, not a proven one (``_backward_error``).  A count is
-certified when the counts at z -+ 4 eta agree.  ``count_below`` answers
+certified when the counts at z -+ 4 eta agree.  A stack of matrices that
+share their off-diagonal triples is counted in one pass, each point
+reading its own matrix's blocks at every step.  ``count_below`` answers
 only certified counts, falling back to the dense count up to DENSE_LIMIT.
 ``dist_to_spectrum`` is dense up to DENSE_LIMIT and bracketed on counts
 above it.
@@ -72,54 +74,57 @@ def _band_blocks(a: SymMatrix):
     """A's diagonal blocks A_k and couplings B_k = A[block k-1, block k], of the band width b.
 
     b = max(cols - rows), at least 1; the lexicographic cube enumeration
-    gives b = side^(nd-1).  Returns the (m, b, b) and (m - 1, b, b) stacks
-    and the size of the last block, which holds the dim - (m-1) b remaining
-    rows (zero-padded in the stacks).
+    gives b = side^(nd-1).  Returns the lead + (m, b, b) stack of a's
+    lead + (dim,) diagonals, the (m - 1, b, b) couplings they share and the
+    size of the last block, which holds the dim - (m-1) b remaining rows
+    (zero-padded in the stacks).
     """
     b = max(1, int(np.max(a.cols - a.rows, initial=0)))
     m = -(-a.dim // b)
-    diag, coupling = np.zeros((m, b, b)), np.zeros((m - 1, b, b))
+    diag, coupling = np.zeros(a.diag.shape[:-1] + (m, b, b)), np.zeros((m - 1, b, b))
     sites = np.arange(a.dim)
-    diag[sites // b, sites % b, sites % b] = a.diag
+    diag[..., sites // b, sites % b, sites % b] = a.diag
     k, i, j = a.rows // b, a.rows % b, a.cols % b
     inside = a.cols // b == k
-    diag[k[inside], i[inside], j[inside]] = a.vals[inside]
-    diag[k[inside], j[inside], i[inside]] = a.vals[inside]
+    diag[..., k[inside], i[inside], j[inside]] = a.vals[inside]
+    diag[..., k[inside], j[inside], i[inside]] = a.vals[inside]
     coupling[k[~inside], i[~inside], j[~inside]] = a.vals[~inside]
     return diag, coupling, a.dim - (m - 1) * b
 
 
-def _chain_pass(diag, c2, z):
+def _chain_pass(diag, c2, z, which):
     """b = 1: negative pivots of the scalar Sturm recursion q_k = a_k - z - c_k^2 / q_(k-1).
 
-    A pivot within LAPACK dstebz's pivmin of zero is set to +pivmin, which
-    counts the limit from below, as the strict count asks.
+    ``diag`` is (matrices, m); point z reads matrix ``which``.  A pivot
+    within LAPACK dstebz's pivmin of zero is set to +pivmin, which counts
+    the limit from below, as the strict count asks.
     """
-    shifted = diag[:, None] - z
     c2 = np.concatenate([[0.0], c2])
     pivmin = np.finfo(np.float64).tiny * max(1.0, float(np.max(c2)))
     counts = np.zeros(z.size, dtype=np.int64)
     q = np.full(z.size, np.inf)
-    for k in range(shifted.shape[0]):
-        q = shifted[k] - c2[k] / q
+    for k in range(diag.shape[1]):
+        q = diag[which, k] - z - c2[k] / q
         q = np.where(np.abs(q) <= pivmin, pivmin, q)
         counts += q < 0
     return counts
 
 
-def _block_pass(diag, coupling, last, z):
+def _block_pass(diag, coupling, last, z, which):
     """b > 1: the block recursion over every point, each pivot's inertia and inverse from one eigh.
 
-    The _DEFERRED pivot eigenvalues of least modulus are not inverted: their
-    directions border the next pivot, [[W, Y], [Y^T, S_k]] with W their
-    eigenvalues and Y their couplings into the next block, and are counted
-    there (Haynsworth, for the reordered blocks).  A near-singular pivot
-    then puts no huge B^T S^-1 B into the next block, whose rounding would
-    flip its small eigenvalues.  The pivmin rule of ``_chain_pass`` applies
-    to the pivot eigenvalues.  Returns the counts and the largest
-    ||B_k||_1 ||B_k||_inf / min |inverted eigenvalue of pivot k - 1|.
+    ``diag`` is (matrices, m, b, b); point z reads matrix ``which``'s
+    blocks.  The _DEFERRED pivot eigenvalues of least modulus are not
+    inverted: their directions border the next pivot, [[W, Y], [Y^T, S_k]]
+    with W their eigenvalues and Y their couplings into the next block, and
+    are counted there (Haynsworth, for the reordered blocks).  A
+    near-singular pivot then puts no huge B^T S^-1 B into the next block,
+    whose rounding would flip its small eigenvalues.  The pivmin rule of
+    ``_chain_pass`` applies to the pivot eigenvalues.  Returns the counts
+    and the largest ||B_k||_1 ||B_k||_inf / min |inverted eigenvalue of
+    pivot k - 1|.
     """
-    m, b = diag.shape[:2]
+    m, b = diag.shape[1:3]
     mags = np.abs(coupling)
     norm2 = mags.sum(axis=1).max(axis=1) * mags.sum(axis=2).max(axis=1)
     pivmin = np.finfo(np.float64).tiny * max(1.0, float(np.max(norm2, initial=0.0)))
@@ -130,7 +135,7 @@ def _block_pass(diag, coupling, last, z):
     for k in range(m):
         size, t = (last if k + 1 == m else b), border.shape[1]
         pivot = np.zeros((z.size, t + size, t + size))
-        pivot[:, t:, t:] = diag[k, :size, :size] - z[:, None, None] * np.eye(size) - s
+        pivot[:, t:, t:] = diag[which, k, :size, :size] - z[:, None, None] * np.eye(size) - s
         pivot[:, range(t), range(t)] = border
         pivot[:, :t, t:] = border_y
         pivot[:, t:, :t] = np.swapaxes(border_y, 1, 2)
@@ -149,8 +154,10 @@ def _block_pass(diag, coupling, last, z):
     return counts, reach
 
 
-def _backward_error(b: int, norm: float, z: np.ndarray, reach) -> np.ndarray:
+def _backward_error(b: int, norm, z: np.ndarray, reach) -> np.ndarray:
     """Backward error eta of the counts at z on blocks of width b: 4 gamma (||A||_inf + |z| + reach).
+
+    ``norm`` is ||A||_inf of each point's own matrix.
 
     The count at z is taken as the exact count of a matrix within eta of A
     in the 2-norm, so it is correct unless an eigenvalue lies within eta of
@@ -173,45 +180,62 @@ def _backward_error(b: int, norm: float, z: np.ndarray, reach) -> np.ndarray:
     return 4.0 * _ERROR_FACTOR * b * _UNIT_ROUNDOFF * (norm + np.abs(z) + reach)
 
 
-def _inertia(blocks, norm: float, z: np.ndarray):
-    """Counts of negative pivots at finite points z, each with its backward error eta."""
+def _inertia(blocks, norm, z: np.ndarray, which=0):
+    """Counts of negative pivots at finite points z, each with its backward error eta.
+
+    Point z counts matrix ``which`` (a scalar, or an array like z) of the
+    blocks' stack, whose ||A||_inf are ``norm``.
+    """
     diag, coupling, last = blocks
-    b = diag.shape[1]
+    diag, norm = diag.reshape((-1,) + diag.shape[-3:]), np.take(norm, which)
+    b = diag.shape[-1]
     if b == 1:
-        return _chain_pass(diag[:, 0, 0], coupling[:, 0, 0] ** 2, z), _backward_error(1, norm, z, 0.0)
-    counts, reach = _block_pass(diag, coupling, last, z)
+        counts = _chain_pass(diag[..., 0, 0], coupling[:, 0, 0] ** 2, z, which)
+        return counts, _backward_error(1, norm, z, 0.0)
+    counts, reach = _block_pass(diag, coupling, last, z, which)
     return counts, _backward_error(b, norm, z, reach)
 
 
 def band_inertia(a: SymMatrix, points):
     """(counts, certified): eigenvalues strictly below each point, and whether that count is sure.
 
-    ``points`` is an array of any shape, which the results take.  They are
-    counted in one pass of the block recursion over A's band layout (module
-    docstring), with a backward error eta at each point
+    ``points`` is an array of any shape, which the results take.  For a
+    stack of matrices (``a.diag`` of shape lead + (dim,), off-diagonal
+    triples shared) the points' shape must start with lead, else ValueError,
+    and each matrix's points are counted on it, with its own ||A||_inf: its
+    counts and flags are those of a call on that matrix alone.  The points
+    are counted in one pass of the block recursion over A's band layout
+    (module docstring), with a backward error eta at each point
     (``_backward_error``).  A second pass counts at z -+ 4 eta: the count at
     z is certified when those two agree, each with a backward error of at
     most 2 eta, for then no eigenvalue lies within 2 eta of z.  For b = 1,
     eta does not depend on the pass, so one pass counts z and z -+ 4 eta
-    together.  An uncertified count may be wrong, and a certified
-    one is as sure as eta.  Infinite points count 0 or dim, certified; NaN
-    points count 0, uncertified.
+    together.  An uncertified count may be wrong, and a certified one is as
+    sure as eta.  Infinite points count 0 or dim, certified; NaN points
+    count 0, uncertified.
     """
-    shape = np.shape(points)
+    shape, lead = np.shape(points), a.diag.shape[:-1]
+    if shape[: len(lead)] != lead:
+        raise ValueError(f"points of shape {shape} do not start with the stack's shape {lead}")
     z = np.asarray(points, dtype=np.float64).reshape(-1)
     counts = np.where(z > 0, a.dim, 0).astype(np.int64)
     certified = np.isinf(z)
     finite = np.isfinite(z)
     if np.any(finite):
+        which = np.arange(math.prod(lead)).repeat(math.prod(shape[len(lead) :]))[finite]
         blocks, norm, zf = _band_blocks(a), a.inf_norm(), z[finite]
-        if blocks[0].shape[1] == 1:
-            eta = _backward_error(1, norm, zf, 0.0)
+        if blocks[0].shape[-1] == 1:
+            eta = _backward_error(1, np.take(norm, which), zf, 0.0)
             all_points = np.concatenate([zf, zf - 4 * eta, zf + 4 * eta])
-            counts[finite], below, above = np.split(_inertia(blocks, norm, all_points)[0], 3)
+            counts[finite], below, above = np.split(
+                _inertia(blocks, norm, all_points, np.tile(which, 3))[0], 3
+            )
             certified[finite] = below == above
         else:
-            counts[finite], eta = _inertia(blocks, norm, zf)
-            around, eta_around = _inertia(blocks, norm, np.concatenate([zf - 4 * eta, zf + 4 * eta]))
+            counts[finite], eta = _inertia(blocks, norm, zf, which)
+            around, eta_around = _inertia(
+                blocks, norm, np.concatenate([zf - 4 * eta, zf + 4 * eta]), np.tile(which, 2)
+            )
             below, above = np.split(around, 2)
             certified[finite] = (below == above) & (np.max(np.split(eta_around, 2), axis=0) <= 2 * eta)
     return counts.reshape(shape), certified.reshape(shape)

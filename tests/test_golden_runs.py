@@ -6,7 +6,8 @@ any layer of a trial cannot silently move a campaign result.
 ``fixed_band_center`` exits 1 by design: its rows fail the L^-2 threshold
 (see the README).  The sweep hash pins the transfer-matrix draws, and the
 suite pins pin every oracle's verdict and instance count, with the exact
-detail lines of the two suites whose details are counts.
+detail lines of the suites whose details are counts, and the Lyapunov
+suite's estimates.
 """
 
 import hashlib
@@ -72,8 +73,12 @@ SUITES = {
 }
 
 DETAILS = {
-    "events": "0 mismatches over 3000 instances (376 eventful, 7 re-drawn at the boundary band)",
+    "dist": "0 count mismatches over 400 counts at E -+ d -+ delta (0 uncertified) over 100 instances",
+    "events": "0 mismatches over 3000 instances (414 eventful, 9 re-drawn at the boundary band)",
     "perturbation": "0 violations, 0 skipped, over 1000 instances",
+    "lyapunov": (
+        "|gamma(5) - 0.96242| = 2.26e-07, |gamma(2)| = 0.00e+00, gamma(2.5) = 0.02988 +- 1.8e-04"
+    ),
 }
 
 

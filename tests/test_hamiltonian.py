@@ -278,6 +278,33 @@ def test_symmatrix_rejects_asymmetric():
         read_matrix_dump(io.StringIO("# dim 2\n2 2 1.0\n"))
 
 
+def test_matrix_dump_rejects_a_second_dim_header():
+    # unchecked, the later header wins and pads the matrix with zeros
+    with pytest.raises(ValueError, match="gives '# dim' twice: 2, then 5"):
+        read_matrix_dump(io.StringIO("# dim 2\n0 0 1.0\n# dim 5\n"))
+
+
+@pytest.mark.parametrize("entry", ["0 1", "0 1 -1.0 7", "0 x 1.0", "0 0 one"])
+def test_matrix_dump_names_a_malformed_entry_line(entry):
+    # unchecked, "0 1" raises only "not enough values to unpack"
+    dump = f"# wegnerlab matrix dump v1\n# dim 2\n0 0 1.0\n{entry}\n"
+    with pytest.raises(ValueError, match=f"line 4 is not 'row col value': '{entry}'"):
+        read_matrix_dump(io.StringIO(dump))
+
+
+def test_inf_norm_is_per_matrix_of_a_stack():
+    # unchecked, a stack got the largest norm over the whole stack
+    m = SymMatrix.from_dense([[1.0, -2.0, 0.0], [-2.0, 3.0, 0.5], [0.0, 0.5, -4.0]])
+    assert m.inf_norm() == 5.5 and type(m.inf_norm()) is float
+    diags = np.array([[[1.0, 3.0, -4.0], [9.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [-1.0, -1.0, -7.0]]])
+    stack = SymMatrix(diags, m.rows, m.cols, m.vals)
+    norms = stack.inf_norm()
+    assert norms.shape == (2, 2)
+    for i, j in np.ndindex(2, 2):
+        assert norms[i, j] == SymMatrix(diags[i, j], m.rows, m.cols, m.vals).inf_norm()
+    assert norms.tolist() == [[5.5, 11.0], [2.5, 7.5]]
+
+
 @pytest.mark.parametrize("dim", [0, -1])
 def test_symmatrix_rejects_dimension_below_one(dim):
     # unchecked, a "# dim 0" dump loads and every count or distance on it

@@ -238,7 +238,7 @@ def test_a_near_singular_pivot_leaves_its_counts_uncertified():
     # pivot is near singular, and the rounding it carries can flip a count.
     from wegnerlab.verify import _random_instance
 
-    m = _random_instance(np.random.default_rng(0), 20260802, 35)
+    m = _random_instance(20260802, 35)
     ev = full_spectrum(m).eigenvalues
     lam = ev[np.argmin(np.abs(ev - 4.5858))]
     assert m.dim == 27 and np.count_nonzero(np.abs(ev - lam) < 1e-12) == 6
@@ -304,6 +304,58 @@ def test_band_inertia_takes_points_of_any_shape(n):
     count, sure = spectral.band_inertia(m, 4.0)
     assert count.shape == sure.shape == ()
     assert count == counts[0] and sure == certified[0]
+
+
+def _assert_stacked_counts_are_each_matrix_alone(a, points):
+    counts, certified = spectral.band_inertia(a, points)
+    lead = a.diag.shape[:-1]
+    assert counts.shape == certified.shape == points.shape
+    for index in np.ndindex(lead):
+        alone = SymMatrix(a.diag[index], a.rows, a.cols, a.vals)
+        want = spectral.band_inertia(alone, points[index])
+        assert np.array_equal(counts[index], want[0]), index
+        assert np.array_equal(certified[index], want[1]), index
+    return certified
+
+
+@pytest.mark.parametrize("seed", [20260802, 20263802, 11])
+def test_stacked_band_inertia_is_each_matrix_alone(seed):
+    # every dist suite shape, stacked as the suite stacks it, under lead
+    # shapes (N,) and (2, 3): random points, points within 1e-9 of an
+    # eigenvalue, on it, and +-inf and NaN
+    from wegnerlab.verify import _shape_blocks
+
+    rng = np.random.default_rng(seed)
+    widths, uncertified = set(), 0
+    for _, mats, a in _shape_blocks(seed, 36):
+        ev = np.stack([full_spectrum(m).eigenvalues for m in mats])
+        near = np.take_along_axis(ev, rng.integers(0, a.dim, (len(mats), 2)), axis=1)
+        inf = np.full((len(mats), 1), math.inf)
+        points = np.concatenate([
+            rng.uniform(ev[:, :1] - 1.0, ev[:, -1:] + 1.0, (len(mats), 4)),
+            near - 1e-9, near, near + 1e-9, inf, -inf, np.full_like(inf, math.nan),
+        ], axis=1)
+        certified = _assert_stacked_counts_are_each_matrix_alone(a, points)
+        uncertified += int(np.count_nonzero(~certified[:, :-1]))
+        six = SymMatrix(a.diag.reshape(2, 3, a.dim), a.rows, a.cols, a.vals)
+        _assert_stacked_counts_are_each_matrix_alone(six, points.reshape(2, 3, 1, -1))
+        blocks = spectral._band_blocks(six)[0]
+        b = blocks.shape[-1]
+        assert blocks.shape == (2, 3, -(-a.dim // b), b, b)
+        assert np.array_equal(blocks.reshape((6,) + blocks.shape[2:]), spectral._band_blocks(a)[0])
+        widths.add(b)
+    assert widths == {1, 7, 9, 11, 13}
+    assert uncertified > 0
+
+
+def test_band_inertia_points_must_start_with_the_stack_shape():
+    m = random_hamiltonian(3, n=2, L=2)
+    stack = SymMatrix(np.stack([m.diag, m.diag + 1.0]), m.rows, m.cols, m.vals)
+    for points in (np.zeros((3, 4)), np.zeros(3), 1.0, np.zeros((4, 2))):
+        with pytest.raises(ValueError, match=r"do not start with the stack's shape \(2,\)"):
+            spectral.band_inertia(stack, points)
+    counts, _ = spectral.band_inertia(stack, np.array([0.5, 0.5]))
+    assert counts.shape == (2,)
 
 
 def test_resolvent_norm_examples():

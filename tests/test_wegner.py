@@ -125,6 +125,14 @@ def test_two_volume_margin_matches_brute_force():
     assert ties > 0
 
 
+def events_suite_instances(count):
+    """The events suite's first two-volume draws at its default seed, boundary band included."""
+    instances, _ = verify._events_instances(20260804, verify._TWO_VOLUME, np.arange(count))
+    (x, nx), (y, ny), (lo, hi), _ = instances
+    for k in range(count):
+        yield Spectrum(x[k, : nx[k]], nx[k]), Spectrum(y[k, : ny[k]], ny[k]), (lo[k], hi[k])
+
+
 def test_two_volume_margin_decides_the_events_suite_instances():
     # the events suite's dyadic instances, boundary band included: the
     # margin is the suite's exact margin, a scalar loop over candidate
@@ -133,14 +141,11 @@ def test_two_volume_margin_decides_the_events_suite_instances():
     # left end) and variable kinds follow the same rule, and _sums_margin
     # on the dense spectra decides a campaign's fallback trials of every
     # kind by it
-    rng = np.random.default_rng(20260804)
     at_boundary = [0, 0, 0]
-    for k in range(3000):
+    for k, (sx, sy, window) in enumerate(events_suite_instances(3000)):
         eps = (0.25, 0.125, 0.0625)[k % 3]
-        sx, sy = verify._dyadic_spectrum(rng), verify._dyadic_spectrum(rng)
-        window = verify._dyadic_window(rng, eps)
         margin = float(two_volume_margin(sx.eigenvalues, sy.eigenvalues, window))
-        assert margin == verify._two_volume_margin(sx, sy, window)
+        assert margin == verify._two_volume_margin(sx.eigenvalues, sy.eigenvalues, window)
         for e in (0.25, 0.125, 0.0625, margin):
             assert (margin <= e) == two_volume_event(sx, sy, window, e), (k, e)
         at_boundary[0] += margin == eps
@@ -335,16 +340,15 @@ def test_events_suite_margin_is_bitwise_the_scalar_loop():
     # and random floats whose midpoints round
     rng = np.random.default_rng(20260804)
     ties = 0
-    for k in range(10**4):
+    for k, dyadic in enumerate(events_suite_instances(10**4)):
         eps = (0.25, 0.125, 0.0625)[k % 3]
         if k % 2:
-            sx, sy = verify._dyadic_spectrum(rng), verify._dyadic_spectrum(rng)
-            window = verify._dyadic_window(rng, eps)
+            sx, sy, window = dyadic
         else:
             sx, sy = (spectrum_of(*rng.uniform(-1.0, 21.0, int(rng.integers(1, 13))))
                       for _ in range(2))
             window = tuple(sorted(rng.uniform(0.0, 20.0, 2)))
-        got = verify._two_volume_margin(sx, sy, window)
+        got = verify._two_volume_margin(sx.eigenvalues, sy.eigenvalues, window)
         want = float(_scalar_two_volume_margin(sx, sy, window))
         assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), k
         ties += got == eps

@@ -139,9 +139,6 @@ class SymMatrix:
         m[..., :: dim + 1] = self.diag
         return m.reshape(lead + (dim, dim))
 
-    def diagonal(self) -> np.ndarray:
-        return self.diag
-
     def gershgorin_radii(self) -> np.ndarray:
         """Sum of |off-diagonal entries| per row."""
         mags = np.abs(self.vals)
@@ -341,8 +338,8 @@ def read_matrix_dump(stream) -> SymMatrix:
     """Parse the write_matrix_dump format back into a SymMatrix.
 
     Raises ValueError for a second ``# dim`` header, naming both values,
-    and for an entry line that is not ``row col value``, naming its line
-    number and text.
+    and for a ``# dim`` header whose value is not an integer or an entry
+    line that is not ``row col value``, naming its line number and text.
     """
     dim = None
     triples = []
@@ -355,7 +352,11 @@ def read_matrix_dump(stream) -> SymMatrix:
             if len(parts) == 2 and parts[0] == "dim":
                 if dim is not None:
                     raise ValueError(f"matrix dump gives '# dim' twice: {dim}, then {parts[1]}")
-                dim = int(parts[1])
+                try:
+                    dim = int(parts[1])
+                except ValueError:
+                    message = f"matrix dump line {number} is not '# dim N': {line!r}"
+                    raise ValueError(message) from None
             continue
         try:
             r, c, v = line.split()

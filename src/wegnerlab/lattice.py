@@ -33,10 +33,6 @@ class Site:
             )
         object.__setattr__(self, "coords", coords)
 
-    def particle(self, i: int) -> tuple[int, ...]:
-        """Coordinates of particle i (0-based) in Z^d."""
-        return self.coords[i * self.d : (i + 1) * self.d]
-
 
 def _check_same_shape(a: Site, b: Site):
     if (a.n, a.d) != (b.n, b.d):

@@ -33,17 +33,6 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _S31)
 
 
-def _chain(*words: int) -> int:
-    """The hash state after absorbing ``words``: the scalar form of ``_mix64``."""
-    z = int(_INIT)
-    for w in words:
-        z ^= int(w) & _MASK
-        z = ((z ^ (z >> 30)) * int(_M1)) & _MASK
-        z = ((z ^ (z >> 27)) * int(_M2)) & _MASK
-        z ^= z >> 31
-    return z
-
-
 def _as_words(values) -> np.ndarray:
     arr = np.atleast_2d(np.asarray(values, dtype=np.int64))
     return np.ascontiguousarray(arr).view(np.uint64)
@@ -57,12 +46,12 @@ def hash_uniform01(seed: int, trial, words) -> np.ndarray:
     64-bit word (signed or unsigned); the result has shape
     ``np.shape(trial) + (m,)``, and each trial's row is bitwise the
     variates of that trial alone.  Pure function of its arguments: uint64
-    arithmetic only, no shared state.  The seed is absorbed once, in
-    scalar arithmetic, and each trial once per trial.
+    arithmetic only, no shared state.  The seed is absorbed once, and each
+    trial once per trial.
     """
     w = _as_words(words)
     trials = np.asarray(trial).astype(np.uint64)
-    h = _mix64(np.uint64(_chain(seed)) ^ trials[..., None])
+    h = _mix64(np.uint64(derive_seed(seed)) ^ trials[..., None])
     for k in range(w.shape[1]):
         h = _mix64(h ^ w[:, k])
     return (h >> _S11).astype(np.float64) / _TWO53
@@ -72,9 +61,14 @@ def derive_seed(seed: int, *words: int) -> int:
     """Deterministic 64-bit subseed from a seed and integer tags.
 
     Used to decouple sampling streams (one per campaign row) without any
-    generator state.
+    generator state.  It is the hash state after absorbing (seed, words),
+    each word taken mod 2^64; the state is a one-element uint64 array,
+    whose arithmetic wraps without the overflow warning of numpy scalars.
     """
-    return _chain(seed, *words)
+    h = np.array([_INIT])
+    for w in (seed, *words):
+        h = _mix64(h ^ np.uint64(int(w) & _MASK))
+    return int(h[0])
 
 
 @dataclass(frozen=True)

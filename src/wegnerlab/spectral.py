@@ -56,9 +56,8 @@ class Spectrum:
 
 def gershgorin_interval(a: SymMatrix):
     """Interval [min diag - R, max diag + R] containing every eigenvalue, per matrix of a stack."""
-    diag = a.diagonal()
     radii = a.gershgorin_radii()
-    return np.min(diag - radii, axis=-1), np.max(diag + radii, axis=-1)
+    return np.min(a.diag - radii, axis=-1), np.max(a.diag + radii, axis=-1)
 
 
 def full_spectrum(a: SymMatrix) -> Spectrum:

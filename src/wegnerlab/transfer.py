@@ -181,8 +181,11 @@ def lyapunov(
     renormalized to unit length each step; the standard error comes from
     batch means over ``batches`` consecutive blocks.  Point-mass potentials
     are accepted here (unlike field sampling) because the closed-form
-    diagnostics need them.
+    diagnostics need them.  Raises ValueError, before any draw, for a
+    non-finite energy or an out-of-range steps or batches.
     """
+    if not math.isfinite(energy):
+        raise ValueError(f"energy must be finite, got {energy}")
     if steps < 1000:
         raise ValueError(f"steps must be >= 1000, got {steps}")
     if steps > STEPS_LIMIT:

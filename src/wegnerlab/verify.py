@@ -4,8 +4,9 @@ Every suite draws seeded random instances, compares two routes to the same
 quantity (sumset vs direct diagonalization, band inertia counts vs dense
 counts, exact event decisions vs grid scans and closed-interval membership,
 resolvent identity vs Weyl stability, norm-growth Lyapunov estimates vs
-closed forms), and reports the worst deviation seen.  Default parameters
-match the bundled acceptance tests.
+closed forms), and reports the worst deviation seen.  A suite's only
+parameter is its seed; its sizes (lengths, fields, instances, steps) are
+module constants.
 
 Every draw comes from the counter hash ``hash_uniform01``, keyed by (seed,
 instance index, tag words), and a boundary-band redraw by the next attempt
@@ -104,19 +105,26 @@ def _shape_blocks(seed: int, instances: int):
         yield indices, mats, SymMatrix(stack, mats[0].rows, mats[0].cols, mats[0].vals)
 
 
-def tensor_suite(
-    lengths=range(1, 7), fields_per_length: int = 50, seed: int = 20260801
-) -> SuiteResult:
+_TENSOR_LENGTHS = range(1, 7)
+_TENSOR_FIELDS = 50
+_DIST_INSTANCES = 100
+_RESOLVENT_INSTANCES = 100
+_EVENTS_INSTANCES = 1000
+_PERTURBATION_INSTANCES = 1000
+_LYAPUNOV_STEPS = 10**6
+
+
+def tensor_suite(seed: int = 20260801) -> SuiteResult:
     """Sumset of single-particle spectra vs direct diagonalization, n=2, d=1."""
     worst = 0.0
     checked = 0
     dist = DistributionSpec.bernoulli(0.5, 0.0, 1.0)
-    trials = np.arange(fields_per_length)
-    for L in lengths:
+    trials = np.arange(_TENSOR_FIELDS)
+    for L in _TENSOR_LENGTHS:
         cube = Cube(Site(2, 1, (0, 0)), L)
         potentials = draw_values(dist, cube.particle_points(), derive_seed(seed, L), trials)
         worst = max(worst, verify_decomposition(cube, potentials))
-        checked += fields_per_length
+        checked += _TENSOR_FIELDS
     return SuiteResult(
         name="tensor",
         passed=worst <= 1e-9,
@@ -126,7 +134,7 @@ def tensor_suite(
     )
 
 
-def dist_suite(instances: int = 100, seed: int = 20260802) -> SuiteResult:
+def dist_suite(seed: int = 20260802) -> SuiteResult:
     """Band inertia counts vs dense counts, just either side of the nearest eigenvalue.
 
     Each instance takes the dense distance d from a random energy E to its
@@ -137,7 +145,7 @@ def dist_suite(instances: int = 100, seed: int = 20260802) -> SuiteResult:
     The instances of each shape are counted in one stacked call.
     """
     mismatches = uncertified = 0
-    for indices, mats, a in _shape_blocks(seed, instances):
+    for indices, mats, a in _shape_blocks(seed, _DIST_INSTANCES):
         lo, hi = gershgorin_interval(a)
         energy = lo + _uniform(seed, indices, _ENERGY) * (hi - lo)
         ev = np.stack([full_spectrum(m).eigenvalues for m in mats])
@@ -151,16 +159,16 @@ def dist_suite(instances: int = 100, seed: int = 20260802) -> SuiteResult:
     return SuiteResult(
         name="dist",
         passed=mismatches == 0,
-        checked=instances,
+        checked=_DIST_INSTANCES,
         worst=float(mismatches),
         detail=(
-            f"{mismatches} count mismatches over {4 * instances} counts at E -+ d -+ delta "
-            f"({uncertified} uncertified) over {instances} instances"
+            f"{mismatches} count mismatches over {4 * _DIST_INSTANCES} counts at E -+ d -+ delta "
+            f"({uncertified} uncertified) over {_DIST_INSTANCES} instances"
         ),
     )
 
 
-def resolvent_suite(instances: int = 100, seed: int = 20260803) -> SuiteResult:
+def resolvent_suite(seed: int = 20260803) -> SuiteResult:
     """1/dist (the resolvent norm) * smallest singular value of A - E against 1.
 
     Each instance is diagonalised once; its spectrum gives the distance for
@@ -169,7 +177,7 @@ def resolvent_suite(instances: int = 100, seed: int = 20260803) -> SuiteResult:
     with the next attempt word.
     """
     worst = 0.0
-    for k in range(instances):
+    for k in range(_RESOLVENT_INSTANCES):
         a = _random_instance(seed, k)
         ev = full_spectrum(a).eigenvalues
         lo, hi = gershgorin_interval(a)
@@ -184,9 +192,9 @@ def resolvent_suite(instances: int = 100, seed: int = 20260803) -> SuiteResult:
     return SuiteResult(
         name="resolvent",
         passed=worst <= 1e-8,
-        checked=instances,
+        checked=_RESOLVENT_INSTANCES,
         worst=worst,
-        detail=f"max |1/dist * sigma_min - 1| = {worst:.3e} over {instances} instances",
+        detail=f"max |1/dist * sigma_min - 1| = {worst:.3e} over {_RESOLVENT_INSTANCES} instances",
     )
 
 
@@ -288,7 +296,7 @@ def _two_volume_margin(x: np.ndarray, y: np.ndarray, window) -> float:
     return float(np.min(np.maximum(dx, dy)))
 
 
-def events_suite(instances: int = 1000, seed: int = 20260804) -> SuiteResult:
+def events_suite(seed: int = 20260804) -> SuiteResult:
     """Exact event decisions vs endpoint-inclusive grid scans.
 
     The variable and two-volume kinds are scanned on a grid of step eps/100;
@@ -300,7 +308,7 @@ def events_suite(instances: int = 1000, seed: int = 20260804) -> SuiteResult:
     pass of ``_interval_dists`` or ``two_volume_margin`` over all its
     padded spectra; the references are taken per instance.
     """
-    trials = np.arange(instances)
+    trials = np.arange(_EVENTS_INSTANCES)
     eps = _EPS[trials % len(_EPS)]
     variable, redrawn_v = _events_instances(seed, _VARIABLE, trials, _variable_margins)
     two, redrawn_2 = _events_instances(seed, _TWO_VOLUME, trials, _brute_margins)
@@ -323,7 +331,7 @@ def events_suite(instances: int = 1000, seed: int = 20260804) -> SuiteResult:
         mismatches += int(exact_2[i] != np.any(np.maximum(dx, dy) <= e))
         ev = xf[i, : nf[i]]
         mismatches += int(exact_f[i] != np.any((ev - e <= energy[i]) & (energy[i] <= ev + e)))
-    checked, excluded = 3 * instances, redrawn_v + redrawn_2
+    checked, excluded = 3 * _EVENTS_INSTANCES, redrawn_v + redrawn_2
     true_count = int(np.count_nonzero(exact_v) + np.count_nonzero(exact_2))
 
     return SuiteResult(
@@ -341,50 +349,50 @@ def events_suite(instances: int = 1000, seed: int = 20260804) -> SuiteResult:
 _WEAK = {"sigma": 1.0, "beta": 0.5, "L0": 3}
 
 
-def _perturbation_block(instances: int, seed: int):
+def _perturbation_block(seed: int):
     """The perturbation suite's cube, interaction, potentials, h and energies.
 
     Instance t draws its n = 2, d = 1, L = 3 Bernoulli potentials at trial
     t, takes h = +-0.9 h_star by the parity of t, and takes its energy
     uniformly, by the hash of (seed, t), in the Gershgorin interval of its
-    uncoupled Hamiltonian; all instances at once.
+    uncoupled Hamiltonian; all _PERTURBATION_INSTANCES instances at once.
     """
     cube = Cube(Site(2, 1, (0, 0)), 3)
     inter = InteractionSpec.pair_contact(0, 1.0)
-    trials = np.arange(instances)
+    trials = np.arange(_PERTURBATION_INSTANCES)
     dist = DistributionSpec.bernoulli(0.5, 0.0, 1.0)
     potentials = draw_values(dist, cube.particle_points(), seed, trials)
     lo, hi = gershgorin_interval(CubeAssembly.of(cube, inter, 0.0).matrix(potentials))
-    energy = lo + hash_uniform01(seed, trials, [[0x45]])[:, 0] * (hi - lo)
+    energy = lo + _uniform(seed, trials, _ENERGY) * (hi - lo)
     h = 0.9 * h_star(1.0, **_WEAK) * np.where(trials % 2 == 0, 1.0, -1.0)
     return cube, inter, potentials, h, energy
 
 
-def perturbation_suite(instances: int = 1000, seed: int = 20260805) -> SuiteResult:
+def perturbation_suite(seed: int = 20260805) -> SuiteResult:
     """Resolvent-identity norm bound and Weyl stability at 0.9 h_star."""
-    cube, inter, potentials, h, energy = _perturbation_block(instances, seed)
+    cube, inter, potentials, h, energy = _perturbation_block(seed)
     result = perturbation_check(cube, potentials, inter, h, energy, **_WEAK)
     skipped = int(np.count_nonzero(result.skipped))
     violations = int(np.count_nonzero(~result.ok & ~result.skipped))
     return SuiteResult(
         name="perturbation",
         passed=violations == 0,
-        checked=instances,
+        checked=_PERTURBATION_INSTANCES,
         worst=float(violations),
-        detail=f"{violations} violations, {skipped} skipped, over {instances} instances",
+        detail=f"{violations} violations, {skipped} skipped, over {_PERTURBATION_INSTANCES} instances",
     )
 
 
-def lyapunov_suite(steps: int = 10**6, seed: int = 20260806) -> SuiteResult:
+def lyapunov_suite(seed: int = 20260806) -> SuiteResult:
     """Norm-growth estimates vs closed forms, plus disorder positivity."""
     free = DistributionSpec.point_mass(0.0)
-    est5 = lyapunov(5.0, free, steps, seed, trial=0)
+    est5 = lyapunov(5.0, free, _LYAPUNOV_STEPS, seed, trial=0)
     target = math.log((3.0 + math.sqrt(5.0)) / 2.0)
     dev5 = abs(est5.gamma_hat - target)
-    est2 = lyapunov(2.0, free, steps, seed, trial=1)
+    est2 = lyapunov(2.0, free, _LYAPUNOV_STEPS, seed, trial=1)
     dev2 = abs(est2.gamma_hat)
     bern = DistributionSpec.bernoulli(0.5, 0.0, 1.0)
-    est_b = lyapunov(2.5, bern, steps, seed, trial=2)
+    est_b = lyapunov(2.5, bern, _LYAPUNOV_STEPS, seed, trial=2)
     positive = est_b.gamma_hat - 2.0 * est_b.stderr > 0.0
     worst = max(dev5, dev2)
     passed = dev5 <= 5e-3 and dev2 <= 5e-3 and positive

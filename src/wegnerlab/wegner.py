@@ -168,6 +168,8 @@ def h_star(u_norm: float, sigma: float, L0: int, beta: float) -> float:
     """Coupling threshold 1 / (2 ||U|| e^(sigma L0^beta)); inf for ||U|| = 0."""
     if u_norm < 0.0:
         raise ValueError(f"u_norm must be >= 0, got {u_norm}")
+    if not L0 >= 1:
+        raise ValueError(f"L0 must be >= 1, got {L0}")
     if u_norm == 0.0:
         return math.inf
     return 1.0 / (2.0 * u_norm * math.exp(sigma * L0**beta))
@@ -175,6 +177,8 @@ def h_star(u_norm: float, sigma: float, L0: int, beta: float) -> float:
 
 def delta0(sigma: float, L0: int, beta: float) -> float:
     """Half-width (1/2) e^(-sigma L0^beta) of the admissible energy window."""
+    if not L0 >= 1:
+        raise ValueError(f"L0 must be >= 1, got {L0}")
     return 0.5 * math.exp(-sigma * L0**beta)
 
 
@@ -302,10 +306,13 @@ def perturbation_check(
     )
 
 
-def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson score 95% interval; non-degenerate upper bound at 0 successes."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must lie in [0, trials], got {successes} of {trials} trials")
+    z = _WILSON_Z
     n = float(trials)
     p = successes / n
     denom = 1.0 + z * z / n

@@ -64,7 +64,7 @@ def test_pair_contact_diagonal():
     # two particles on a 3-site segment: h*U = 0.1 exactly on the diagonal x1 == x2
     cube = Cube(Site(2, 1, (0, 0)), 1)
     m = build_hamiltonian(cube, zero_field(cube), InteractionSpec.pair_contact(0, 1.0), 0.1)
-    diag = m.diagonal()
+    diag = m.diag
     coincident = [i for i, s in enumerate(cube_sites(cube)) if s[0] == s[1]]
     assert len(coincident) == 3
     for i in range(9):
@@ -82,7 +82,7 @@ def test_diagonal_reads_shared_field():
     cube = Cube(Site(2, 1, (0, 0)), 1)
     field = bernoulli_field(cube, seed=5)
     m = build_hamiltonian(cube, field, NONE, 0.0)
-    diag = m.diagonal()
+    diag = m.diag
     for i, s in enumerate(cube_sites(cube)):
         v0, v1 = (point_value(BERNOULLI, (x,), 5) for x in s)
         assert diag[i] == 4.0 + v0 + v1
@@ -127,8 +127,8 @@ def test_gershgorin_contains_spectrum():
         ev = full_spectrum(m).eigenvalues
         assert ev[0] >= lo - 1e-12 and ev[-1] <= hi + 1e-12
         n, d = 2, 1
-        assert lo >= np.min(m.diagonal()) - 2 * n * d - 1e-12
-        assert hi <= np.max(m.diagonal()) + 2 * n * d + 1e-12
+        assert lo >= np.min(m.diag) - 2 * n * d - 1e-12
+        assert hi <= np.max(m.diag) + 2 * n * d + 1e-12
 
 
 def test_h_linearity():
@@ -209,7 +209,7 @@ def test_assembly_above_dense_limit():
     m = build_hamiltonian(cube, sample_field(spec, cube.particle_points(), 6, 0), NONE, 0.0)
     assert m.dim == 5001
     assert m.inf_norm() == 5.0
-    zero_sites = np.flatnonzero(m.diagonal() == 0.0)
+    zero_sites = np.flatnonzero(m.diag == 0.0)
     assert 0 < zero_sites.size < m.dim
     entries = list(m.nonzeros())
     assert all(v != 0.0 for _, _, v in entries)
@@ -282,6 +282,14 @@ def test_matrix_dump_rejects_a_second_dim_header():
     # unchecked, the later header wins and pads the matrix with zeros
     with pytest.raises(ValueError, match="gives '# dim' twice: 2, then 5"):
         read_matrix_dump(io.StringIO("# dim 2\n0 0 1.0\n# dim 5\n"))
+
+
+@pytest.mark.parametrize("header", ["# dim abc", "# dim 2.0"])
+def test_matrix_dump_names_a_malformed_dim_header(header):
+    # unchecked, "# dim abc" raises only int()'s "invalid literal for int()"
+    dump = f"# wegnerlab matrix dump v1\n{header}\n0 0 1.0\n"
+    with pytest.raises(ValueError, match=f"line 2 is not '# dim N': '{header}'"):
+        read_matrix_dump(io.StringIO(dump))
 
 
 @pytest.mark.parametrize("entry", ["0 1", "0 1 -1.0 7", "0 x 1.0", "0 0 one"])

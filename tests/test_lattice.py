@@ -19,9 +19,7 @@ def test_site_validation():
         Site(0, 1, ())
     with pytest.raises(ValueError):
         Site(2, 1, (0, 0, 0))
-    s = Site(2, 2, (1, 2, 3, 4))
-    assert s.particle(0) == (1, 2)
-    assert s.particle(1) == (3, 4)
+    assert Site(2, 2, [1, 2, 3, np.int64(4)]).coords == (1, 2, 3, 4)
 
 
 def test_norms_identity():

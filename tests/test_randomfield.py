@@ -195,8 +195,9 @@ def test_negative_coordinates_hash_cleanly():
 
 
 def test_scalar_prefix_matches_vector_chain():
-    # hash_uniform01 and derive_seed absorb (seed, trial) in Python integers;
-    # the uint64 numpy chain over every row is the reference, bit for bit
+    # derive_seed absorbs (seed, trial) once and hash_uniform01 the seed once,
+    # ahead of its rows; the uint64 numpy chain over every row is the
+    # reference, bit for bit, for seeds and trials of either sign
     mask = 0xFFFFFFFFFFFFFFFF
     rng = np.random.default_rng(5)
     words = rng.integers(-(2**63), 2**63 - 1, size=(40, 3), endpoint=True)

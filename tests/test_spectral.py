@@ -157,7 +157,7 @@ def test_two_particle_distances_match_sumset():
     none = InteractionSpec.none()
     m = build_hamiltonian(cube, potentials, none, 0.0)
     assert m.dim == 1681 and spectral._band_blocks(m)[0].shape == (41, 41, 41)
-    factors = [Cube(Site(1, 1, cube.center.particle(i)), cube.radius) for i in range(2)]
+    factors = [Cube(Site(1, 1, cube.center.coords[i : i + 1]), cube.radius) for i in range(2)]
     singles = [
         full_spectrum(build_hamiltonian(f, potentials[i : i + 1], none, 0.0))
         for i, f in enumerate(factors)
@@ -180,7 +180,7 @@ def test_two_particle_distances_above_dense_limit_match_sumset():
     m = build_hamiltonian(cube, potentials, none, 0.0)
     assert m.dim == 4225 > spectral.DENSE_LIMIT
     assert spectral._band_blocks(m)[0].shape == (65, 65, 65)
-    factors = [Cube(Site(1, 1, cube.center.particle(i)), cube.radius) for i in range(2)]
+    factors = [Cube(Site(1, 1, cube.center.coords[i : i + 1]), cube.radius) for i in range(2)]
     sums = sorted_sums([
         full_spectrum(build_hamiltonian(f, potentials[i : i + 1], none, 0.0)).eigenvalues
         for i, f in enumerate(factors)

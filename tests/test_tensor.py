@@ -71,7 +71,7 @@ def test_sumset_count():
         DistributionSpec.bernoulli(0.5, 0.0, 1.0), cube.particle_points(), 3, 0
     )
     none = InteractionSpec.none()
-    factors = [Cube(Site(1, 1, cube.center.particle(i)), cube.radius) for i in range(2)]
+    factors = [Cube(Site(1, 1, cube.center.coords[i : i + 1]), cube.radius) for i in range(2)]
     singles = [
         full_spectrum(build_hamiltonian(f, potentials[i : i + 1], none, 0.0))
         for i, f in enumerate(factors)
@@ -90,7 +90,7 @@ def test_shift_covariance():
     )
     shifted = base + 0.25
     none = InteractionSpec.none()
-    factors = [Cube(Site(1, 1, cube.center.particle(i)), 1) for i in range(2)]
+    factors = [Cube(Site(1, 1, cube.center.coords[i : i + 1]), 1) for i in range(2)]
 
     def sums(potentials):
         singles = [
@@ -109,7 +109,7 @@ def test_flipped_hopping_breaks_decomposition():
         DistributionSpec.bernoulli(0.5, 0.0, 1.0), cube.particle_points(), 17, 0
     )
     none = InteractionSpec.none()
-    factors = [Cube(Site(1, 1, cube.center.particle(i)), cube.radius) for i in range(2)]
+    factors = [Cube(Site(1, 1, cube.center.coords[i : i + 1]), cube.radius) for i in range(2)]
     singles = [
         full_spectrum(build_hamiltonian(f, potentials[i : i + 1], none, 0.0))
         for i, f in enumerate(factors)
@@ -142,7 +142,7 @@ def test_sumset_block_is_bitwise_the_per_cube_spectra():
         assert sums.shape == (7, 2, cube.site_count)
         assert np.all(np.diff(sums, axis=-1) >= 0)
         none = InteractionSpec.none()
-        factors = [Cube(Site(1, d, cube.center.particle(i)), L) for i in range(n)]
+        factors = [Cube(Site(1, d, cube.center.coords[i * d : (i + 1) * d]), L) for i in range(n)]
         for t, c in np.ndindex(7, 2):
             v = block[t, c]
             singles = [

@@ -58,6 +58,17 @@ def test_lyapunov_rejects_steps_above_the_limit(monkeypatch):
         lyapunov(2.0, FREE, steps=transfer.STEPS_LIMIT + 1, seed=0)
 
 
+@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+def test_lyapunov_rejects_a_non_finite_energy_before_any_draw(monkeypatch, energy):
+    # unchecked, the recursion ran and returned gamma_hat = nan without a word
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the recursion started")
+
+    monkeypatch.setattr(transfer, "draw_values", no_sampling)
+    with pytest.raises(ValueError, match=f"energy must be finite, got {energy}"):
+        lyapunov(energy, FREE, steps=1000, seed=0)
+
+
 def _per_step_logs(energy, draws):
     """The unchunked recursion over the draws, one step at a time: logs and final state."""
     logs = np.empty(len(draws))

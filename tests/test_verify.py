@@ -123,9 +123,13 @@ def test_no_module_uses_numpy_random():
 
 
 def test_every_suite_takes_a_seed_with_a_default():
-    # the benchmark harness reruns each suite at its default seed + 1000 * slot
+    # the benchmark harness reruns each suite at its default seed + 1000 * slot;
+    # the seed is a suite's only parameter, its sizes are module constants
     for name, suite in verify.ALL_SUITES.items():
-        assert type(inspect.signature(suite).parameters["seed"].default) is int, name
+        parameters = inspect.signature(suite).parameters
+        assert list(parameters) == ["seed"], name
+        assert parameters["seed"].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD, name
+        assert type(parameters["seed"].default) is int, name
 
 
 def test_timing_hooks_are_looked_up_at_call_time(monkeypatch, tmp_path):

@@ -318,6 +318,16 @@ def test_h_star_arithmetic():
     assert h_star(2.0, 1.0, 8, 0.5) == pytest.approx(h_star(1.0, 1.0, 8, 0.5) / 2.0)
 
 
+@pytest.mark.parametrize("L0", [0, -1, -2.5, math.nan])
+def test_h_star_and_delta0_reject_L0_below_one(L0):
+    # unchecked, a negative L0 raised "must be real number, not complex"
+    # from a complex L0 ** beta, and L0 = 0 gave a value
+    with pytest.raises(ValueError, match=f"L0 must be >= 1, got {L0}"):
+        h_star(1.0, 1.0, L0, 0.5)
+    with pytest.raises(ValueError, match=f"L0 must be >= 1, got {L0}"):
+        delta0(1.0, L0, 0.5)
+
+
 def _scalar_two_volume_margin(sx, sy, window):
     """The events suite's margin as a scalar loop over the candidate set."""
     lo, hi = window
@@ -426,7 +436,7 @@ def test_block_perturbation_check_matches_the_per_instance_reference(seed):
     # energy are bitwise those drawn alone (the per-instance Gershgorin/hash
     # energy), and the block check agrees with the banded per-instance
     # reference; the 1x1 cube adds skipped instances
-    cube, inter, potentials, h, energy = verify._perturbation_block(1000, seed)
+    cube, inter, potentials, h, energy = verify._perturbation_block(seed)
     free = CubeAssembly.of(cube, inter, 0.0)
     bound = h_star(1.0, 1.0, 3, 0.5)
     want = []
@@ -472,10 +482,12 @@ def _peak_perturbation_check(*args):
 def test_perturbation_check_works_in_chunks_of_the_block_budget():
     # the suite's dim-49 cube: a block four chunks long peaks at one
     # chunk's working set plus its longer per-instance outputs, a few
-    # floats each, not at four chunks' eigenvalues and distances
+    # floats each, not at four chunks' eigenvalues and distances; the
+    # suite's instances are repeated to four chunks' length
     chunk = wegner._BLOCK_ELEMENTS // 49
-    cube, inter, potentials, h, energy = verify._perturbation_block(4 * chunk, 20260805)
-    assert cube.site_count == 49
+    cube, inter, *block = verify._perturbation_block(20260805)
+    potentials, h, energy = (np.resize(x, (4 * chunk,) + x.shape[1:]) for x in block)
+    assert cube.site_count == 49 and len(block[0]) < 4 * chunk
     # a first call outside the trace, so one-time set-up is not counted
     perturbation_check(cube, potentials[:3], inter, h[:3], energy[:3], 1.0, 0.5, 3)
     one = _peak_perturbation_check(
@@ -514,6 +526,13 @@ def test_wilson_interval_contains_p_hat():
     for successes, trials in [(0, 10), (3, 17), (17, 17), (500, 1000)]:
         lo, hi = wilson_interval(successes, trials)
         assert 0.0 <= lo <= successes / trials <= hi <= 1.0
+
+
+@pytest.mark.parametrize("successes, trials", [(5, 3), (-1, 10), (11, 10)])
+def test_wilson_interval_rejects_successes_outside_the_trials(successes, trials):
+    # unchecked, (5, 3) and (-1, 10) raised a bare "math domain error"
+    with pytest.raises(ValueError, match=f"got {successes} of {trials} trials"):
+        wilson_interval(successes, trials)
 
 
 def _query(eps, energy, trials_kind="fixed", L=2):

@@ -10,10 +10,12 @@ Hamiltonians, which the tensor module relies on.  The disorder enters as an
 points, so the diagonal is that Kronecker sum of the rows plus h*U
 (``unsorted_sums``, which also forms the sumset spectra).
 
-``CubeAssembly.eigenvalues`` solves a whole block of such operators: it
-forms every diagonal at once, solves each distinct one once and never
-holds more than ``_BLOCK_ELEMENTS`` floats of dense matrices (or a
-single matrix, when one alone is larger).
+``CubeAssembly.distinct_eigenvalues`` solves a whole block of such
+operators: it forms every diagonal at once, solves each distinct one once,
+never holds more than ``_BLOCK_ELEMENTS`` floats of dense matrices (or a
+single matrix, when one alone is larger), and returns the distinct spectra
+with each instance's index into them; ``CubeAssembly.eigenvalues`` gathers
+them to the instances.
 """
 
 from dataclasses import dataclass
@@ -262,11 +264,22 @@ class CubeAssembly:
 
         ``potentials`` has shape (..., n, side^d); the result has shape
         (..., dim), each row bitwise ``full_spectrum(self.matrix(p))`` of
-        its instance.  The diagonals are keyed on their bits, so each
-        distinct operator is solved once and every repeat gathers its
-        result; under a finite-support measure a block repeats them.  The
-        distinct operators are solved in stacked ``eigvalsh`` calls of at
-        most _BLOCK_ELEMENTS floats each, or of one matrix when a single
+        its instance.  It is ``distinct_eigenvalues`` gathered to the
+        instances.
+        """
+        spectra, index = self.distinct_eigenvalues(potentials)
+        return spectra[index]
+
+    def distinct_eigenvalues(self, potentials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The spectra of a block's distinct operators and each instance's index into them.
+
+        ``potentials`` has shape (..., n, side^d).  The diagonals are keyed
+        on their bits, so each distinct operator is solved once; under a
+        finite-support measure a block repeats them.  Returns the
+        (distinct, dim) ascending spectra and the (...) index of each
+        instance's, so ``spectra[index]`` is ``eigenvalues(potentials)``.
+        The distinct operators are solved in stacked ``eigvalsh`` calls of
+        at most _BLOCK_ELEMENTS floats each, or of one matrix when a single
         one is larger; each matrix of a stacked call is bitwise its own
         solve.
         """
@@ -275,13 +288,12 @@ class CubeAssembly:
         flat = np.ascontiguousarray(diag).reshape(-1, dim)
         keys = flat.view(np.dtype((np.void, flat.itemsize * dim)))[:, 0]
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        distinct = flat[first]
-        solved = np.empty_like(distinct)
+        spectra = flat[first]
         chunk = max(1, _BLOCK_ELEMENTS // (dim * dim))
-        for start in range(0, len(distinct), chunk):
-            part = SymMatrix(distinct[start : start + chunk], self.rows, self.cols, self.vals)
-            solved[start : start + chunk] = np.linalg.eigvalsh(part.dense())
-        return solved[inverse].reshape(diag.shape)
+        for start in range(0, len(spectra), chunk):
+            part = SymMatrix(spectra[start : start + chunk], self.rows, self.cols, self.vals)
+            spectra[start : start + chunk] = np.linalg.eigvalsh(part.dense())
+        return spectra, inverse.reshape(diag.shape[:-1])
 
 
 def unsorted_sums(rows) -> np.ndarray:

@@ -9,14 +9,14 @@ materialized; the tensor-product eigenfunctions are never needed
 downstream.
 
 The single-particle operators are solved by the one-particle cube's
-``CubeAssembly.eigenvalues``: a campaign passes the (trials, k, m) box
-potentials of its k distinct particle boxes, m = side^d, and gathers each
-cube's n rows of eigenvalues; ``hamiltonian.unsorted_sums``, the
-Kronecker sum that also forms the cube diagonals, forms the sums and
-``sorted_sums`` sorts them.  ``verify_decomposition`` composes the same
-solve and sums, so the ``tensor`` suite checks the sums a campaign trial
-decides on, against the direct solve of the whole cube.  No Spectrum
-objects are built.
+``CubeAssembly``: a campaign passes the (trials, k, m) box potentials of
+its k distinct particle boxes, m = side^d, to ``distinct_eigenvalues``
+and gathers each cube's n rows of eigenvalues from the distinct spectra;
+``hamiltonian.unsorted_sums``, the Kronecker sum that also forms the cube
+diagonals, forms the sums and ``sorted_sums`` sorts them.
+``verify_decomposition`` composes the same solve and sums, so the
+``tensor`` suite checks the sums a campaign trial decides on, against the
+direct solve of the whole cube.  No Spectrum objects are built.
 """
 
 import numpy as np

@@ -419,13 +419,18 @@ ALL_SUITES = {
 
 
 def run_suites(names=None) -> list[SuiteResult]:
+    """Run the named suites, each once in the order first named; all of them when none.
+
+    Raises ValueError, before any suite runs, for a name that is not in
+    ALL_SUITES.
+    """
     if names:
         unknown = [n for n in names if n not in ALL_SUITES]
         if unknown:
             raise ValueError(
                 f"unknown suites {unknown}; available: {sorted(ALL_SUITES)}"
             )
-        picked = names
+        picked = dict.fromkeys(names)
     else:
         picked = list(ALL_SUITES)
     return [ALL_SUITES[name]() for name in picked]

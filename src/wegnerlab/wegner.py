@@ -17,22 +17,30 @@ campaign decides its trials in blocks.  ``evaluate_event`` draws a block's
 them into one decision per trial.  The block makes one stacked solve of
 the distinct single-particle operators among its trials' k boxes (a
 finite-support measure repeats them), through the one-particle cube's
-``CubeAssembly.eigenvalues``.  It then screens its trials in chunks:
-each chunk gathers each cube's n rows of eigenvalues and forms the cubes'
-sumset spectra, unsorted (the exact h = 0 spectra, moved by at most
-max|h*U| under weak coupling, by Weyl; for n = 1 a cube is its own single
-box, so its sums are its spectrum).  One vectorised pass computes each
-trial's signed margin on the sums, the smallest closeness at which its
-event holds there, sorting only the sums of the two-volume trials whose
-margin needs the exact pairing; a trial whose margin clears eps by the
-certified bound mu is decided by it.  The chunk's other trials are
-solved densely together, one ``CubeAssembly.eigenvalues`` call per cube,
-and decided by the same margin on those spectra, so every decision is the
-dense one and a trial's decision does not depend on the block or chunk it
-is drawn in.  A block's size is _BLOCK_ELEMENTS over its per-trial box
-potentials, k * side^d floats, and a chunk's is _BLOCK_ELEMENTS over its
-per-trial sums, cubes * side^(nd) floats; ``CubeAssembly.eigenvalues``
-keeps each of its stacked solves within the same budget.
+``CubeAssembly.distinct_eigenvalues``, which hands back the distinct
+spectra and each box row's index into them.  A cube's sumset spectra,
+the sums of one eigenvalue of each of its n particles' rows, are the
+exact h = 0 spectra, moved by at most max|h*U| under weak coupling, by
+Weyl; for n = 1 a cube is its own single box, so its sums are its
+spectrum.  Each trial's signed margin on the sums, the smallest closeness
+at which its event holds there, is screened in stages.  A cube whose
+particles all sit on one box (the first cube of every row, at the origin)
+bounds it below by min dist(sums, W), which depends only on that box's
+spectrum: the bound is taken once per distinct spectrum and gathered to
+the trials, and for the fixed and variable kinds it is the margin.  Only
+the trials whose bound is within eps + mu, mu the certified bound, form
+their cubes' sums, unsorted, and get the two-volume margin, sorting only
+the sums of the trials whose margin needs the exact pairing.  A trial
+whose margin clears eps by mu is decided by it.  The other trials are
+solved densely together, one ``CubeAssembly.eigenvalues`` call per cube
+for each chunk of trials that has any, and decided by the same margin on
+those spectra, so every decision is the dense one and a trial's decision
+does not depend on the block or chunk it is drawn in.  A block's size is
+_BLOCK_ELEMENTS over its per-trial box potentials, k * side^d floats, and
+a chunk's is _BLOCK_ELEMENTS over its per-trial sums, cubes * side^(nd)
+floats; no stage of the screen holds more sums than that budget, and
+``CubeAssembly.distinct_eigenvalues`` keeps each of its stacked solves
+within it too.
 
 For a finite-support measure, ``exact_probability`` enumerates every field
 on the distinct lattice points of the boxes and decides each through
@@ -338,19 +346,22 @@ class PreparedQuery(NamedTuple):
     (single-particle cubes) of the query's cubes and ``box_of`` the
     (cubes, n) box index of each particle, so ``boxes[box_of]`` holds each
     cube's particle points.  ``assemblies`` holds one CubeAssembly per
-    cube, which solves the cube densely for the fallback.  ``box`` is the
-    one-particle cube's CubeAssembly, which solves the single-particle
-    operators of the boxes, and ``margin`` bounds how far a sumset
-    eigenvalue and the rank-matched dense eigenvalue of the same cube can
-    lie apart.  ``block`` is the number of trials a campaign draws and
-    decides at once, _BLOCK_ELEMENTS over the k * side^d box potentials of
-    a trial, and ``chunk`` the number of trials whose sums ``decide``
-    screens at once, _BLOCK_ELEMENTS over the cubes * side^(nd) sums of a
-    trial.
+    cube, which solves the cube densely for the fallback.  ``lone`` holds
+    the box index of each cube whose particles all sit on one box, so
+    that ``decide`` bounds such a cube once per distinct box spectrum.
+    ``box`` is the one-particle cube's CubeAssembly, which solves the
+    single-particle operators of the boxes, and ``margin`` bounds how far
+    a sumset eigenvalue and the rank-matched dense eigenvalue of the same
+    cube can lie apart.  ``block`` is the number of trials a campaign
+    draws and decides at once, _BLOCK_ELEMENTS over the k * side^d box
+    potentials of a trial, and ``chunk`` the number of trials whose sums
+    ``decide`` forms at once, and whose fallback trials it solves
+    together, _BLOCK_ELEMENTS over the cubes * side^(nd) sums of a trial.
     """
 
     boxes: np.ndarray
     box_of: np.ndarray
+    lone: np.ndarray
     assemblies: tuple[CubeAssembly, ...]
     box: CubeAssembly
     margin: float
@@ -401,13 +412,14 @@ class EventQuery:
         rows = points.reshape((-1,) + points.shape[2:])
         boxes, box_of = np.unique(rows, axis=0, return_inverse=True)
         box_of = box_of.reshape(points.shape[:2])
-        boxes.flags.writeable = box_of.flags.writeable = False
+        lone = box_of[np.all(box_of == box_of[:, :1], axis=1), 0]
+        boxes.flags.writeable = box_of.flags.writeable = lone.flags.writeable = False
         assemblies = tuple(CubeAssembly.of(c, self.interaction, self.h) for c in cubes)
         box = particle_assembly(self.d, self.L)
         block = max(1, _BLOCK_ELEMENTS // math.prod(boxes.shape[:2]))
         chunk = max(1, _BLOCK_ELEMENTS // (len(cubes) * boxes.shape[1] ** self.n))
         margin = _margin(self, assemblies)
-        return PreparedQuery(boxes, box_of, assemblies, box, margin, block, chunk)
+        return PreparedQuery(boxes, box_of, lone, assemblies, box, margin, block, chunk)
 
 
 def _diagonal_bound(query: EventQuery) -> float:
@@ -494,6 +506,11 @@ def validate_query(query: EventQuery) -> list[str]:
     return problems
 
 
+def _window(query: EventQuery) -> tuple[float, float]:
+    """The interval W the event measures closeness to; [E, E] for the fixed kind."""
+    return (query.energy, query.energy) if query.kind == "fixed" else query.window
+
+
 def _sums_margin(query: EventQuery, sums: np.ndarray, bound: float) -> np.ndarray:
     """Each trial's margin on its (cubes, N) sums or spectra, exact up to ``bound``.
 
@@ -506,7 +523,7 @@ def _sums_margin(query: EventQuery, sums: np.ndarray, bound: float) -> np.ndarra
     lower bound is within ``bound`` are sorted; the sums may come in any
     order along their last axis.
     """
-    window = (query.energy, query.energy) if query.kind == "fixed" else query.window
+    window = _window(query)
     margin = np.min(_interval_dists(sums, *window), axis=-1).max(axis=-1)
     if query.kind == "two_volume":
         near = margin <= bound
@@ -522,48 +539,93 @@ def decide(query: EventQuery, potentials: np.ndarray) -> np.ndarray:
     ``potentials`` is the (trials, k, side^d) array ``draw_values`` gives
     at the prepared boxes; cube c's (n, side^d) potentials are its rows
     ``box_of[c]``.  Each distinct box potential of the block is solved
-    once, in one call.  The trials are then screened in chunks of the
-    prepared chunk size, so no chunk's sums exceed _BLOCK_ELEMENTS floats,
-    and every trial of every kind is decided as its event margin <= eps on
-    its dense spectra (``_decide_chunk``).  Raises CapacityError, with
-    full_spectrum's message, before a fallback dense solve above
-    DENSE_LIMIT.
+    once, in one call, which hands back the distinct spectra and each
+    row's index into them.  ``_screen`` then gives each trial its sums
+    margin, exact where it is within eps + mu, and every trial of every
+    kind is decided as its event margin <= eps on its dense spectra: a
+    margin at most eps - mu holds there and one above eps + mu fails, and
+    the trials between them are solved densely, one ``_decide_chunk`` call
+    for each chunk of the prepared chunk size that has any, in trial
+    order.  Raises CapacityError, with full_spectrum's message, before a
+    fallback dense solve above DENSE_LIMIT.
     """
     prepared = query.prepared
-    singles = prepared.box.eigenvalues(potentials[..., None, :])
-    decisions = np.empty(len(potentials), dtype=bool)
+    spectra, index = prepared.box.distinct_eigenvalues(potentials[..., None, :])
+    margin = _screen(query, spectra, index)
+    decisions = margin <= query.eps - prepared.margin
+    near = ~decisions & (margin <= query.eps + prepared.margin)
     for start in range(0, len(potentials), prepared.chunk):
         part = slice(start, start + prepared.chunk)
-        decisions[part] = _decide_chunk(query, potentials[part], singles[part])
+        fallen = near[part]
+        if fallen.any():
+            decisions[part][fallen] = _decide_chunk(query, potentials[part][fallen])
     return decisions
 
 
-def _decide_chunk(query: EventQuery, potentials: np.ndarray, singles: np.ndarray) -> np.ndarray:
-    """The event on each trial of a chunk, from its box potentials and their eigenvalues.
+def _screen(query: EventQuery, spectra: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Each trial's sums margin, exact where it is at most eps + mu, in stages.
 
-    The sums are formed unsorted, and every dense eigenvalue lies within
-    the prepared margin mu of the rank-matched sumset eigenvalue; each
-    margin moves by at most mu with them, so a trial whose sums margin
-    exceeds eps + mu fails on the dense spectra at eps and one whose
-    margin is at most eps - mu holds there.  The other trials are solved
-    densely together, one ``CubeAssembly.eigenvalues`` call per cube, and
-    decided by the same margin on those spectra, which is the event
-    functions' own rule, so the decision is the dense one.  Raises
-    CapacityError, as full_spectrum does, before a dense solve above
-    DENSE_LIMIT.
+    ``spectra`` holds a block's distinct box spectra and ``index`` the
+    (trials, k) index of each trial's.  A cube whose particles all sit on
+    one box (the prepared ``lone`` boxes) bounds the margin below by
+    min dist(sums, W) of its sums, which depends only on that box's
+    spectrum, so the bound is taken once per distinct spectrum
+    (``_box_bounds``) and gathered to the trials.  The first cube sits at
+    the origin, on one box, so every row has such a cube, and for a fixed
+    or variable query, whose only cube it is, that bound is the margin.
+    For a two-volume query only the trials whose bound is at most eps + mu
+    have both cubes' sums formed, unsorted, in slices of the prepared
+    chunk size, and get ``_sums_margin``; its own lower bound drops the
+    trials whose other cube lies beyond eps + mu before it sorts.  Every
+    margin is bitwise the one of the trial's gathered sums, or, for a
+    dropped trial, a lower bound of it above eps + mu.
     """
     prepared = query.prepared
     upper = query.eps + prepared.margin
-    sums = unsorted_sums(singles[:, prepared.box_of])
-    margin = _sums_margin(query, sums, upper)
-    decisions = margin <= query.eps - prepared.margin
-    near = ~decisions & (margin <= upper)
-    if near.any():
-        require_dense(sums.shape[-1])
-        fallen, cubes = potentials[near], zip(prepared.assemblies, prepared.box_of)
-        dense = np.stack([a.eigenvalues(fallen[:, of]) for a, of in cubes], axis=1)
-        decisions[near] = _sums_margin(query, dense, upper) <= query.eps
-    return decisions
+    bounds = _box_bounds(query, spectra)
+    margin = bounds[index[:, prepared.lone]].max(axis=-1)
+    if query.kind == "two_volume":
+        alive = np.flatnonzero(margin <= upper)
+        for start in range(0, len(alive), prepared.chunk):
+            part = alive[start : start + prepared.chunk]
+            sums = unsorted_sums(spectra[index[part][:, prepared.box_of]])
+            margin[part] = _sums_margin(query, sums, upper)
+    return margin
+
+
+def _box_bounds(query: EventQuery, spectra: np.ndarray) -> np.ndarray:
+    """min dist(sums, W) of a cube with all n particles on one box, per box spectrum.
+
+    The sums of each of the (distinct, m) ``spectra`` with itself n times
+    are formed in slices of _BLOCK_ELEMENTS // m^n spectra, summed left to
+    right as ``unsorted_sums`` sums a trial's gathered rows.
+    """
+    window, m = _window(query), spectra.shape[-1]
+    step = max(1, _BLOCK_ELEMENTS // m**query.n)
+    bounds = np.empty(len(spectra))
+    for start in range(0, len(spectra), step):
+        rows = spectra[start : start + step, None]
+        sums = unsorted_sums(np.broadcast_to(rows, (len(rows), query.n, m)))
+        bounds[start : start + step] = np.min(_interval_dists(sums, *window), axis=-1)
+    return bounds
+
+
+def _decide_chunk(query: EventQuery, potentials: np.ndarray) -> np.ndarray:
+    """The dense decisions of a chunk's near trials, from their box potentials.
+
+    Every dense eigenvalue lies within the prepared margin mu of the
+    rank-matched sumset eigenvalue, so each margin moves by at most mu
+    with them; these trials' sums margins lie in (eps - mu, eps + mu], so
+    they are solved densely together, one ``CubeAssembly.eigenvalues``
+    call per cube, and decided by the same margin on those spectra, which
+    is the event functions' own rule.  Raises CapacityError, as
+    full_spectrum does, before a dense solve above DENSE_LIMIT.
+    """
+    prepared = query.prepared
+    require_dense(prepared.boxes.shape[1] ** query.n)
+    cubes = zip(prepared.assemblies, prepared.box_of)
+    dense = np.stack([a.eigenvalues(potentials[:, of]) for a, of in cubes], axis=1)
+    return _sums_margin(query, dense, query.eps + prepared.margin) <= query.eps
 
 
 def evaluate_event(query: EventQuery, seed: int, trial: int, count: int = 1) -> int:

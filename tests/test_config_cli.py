@@ -871,6 +871,40 @@ def test_commands_never_load_scipy_or_numpy_random(tmp_path):
         assert (tmp_path / name).stat().st_size > 0
 
 
+def test_only_verify_loads_the_oracles(tmp_path):
+    # a fresh process, as above: a campaign, a matrix dump and a sweep run
+    # without wegnerlab.verify, which the verify command then loads
+    doc = make_config()
+    doc["sweep"] = {"e_min": 1.0, "e_max": 3.0, "points": 2, "steps": 2000}
+    sweep_config = write_config(tmp_path, doc)
+    commands = [
+        ["run", "--config", str(REPO / "configs" / "two_volume_edge.json"),
+         "--out", str(tmp_path / "run.csv")],
+        ["dump-matrix", "--config", str(REPO / "configs" / "fixed_band_center.json"),
+         "--out", str(tmp_path / "matrix.txt"), "--length", "3"],
+        ["lyapunov-sweep", "--config", str(sweep_config), "--out", str(tmp_path / "sweep.csv")],
+        ["verify", "--suite", "tensor"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from wegnerlab.cli import main\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    main.main(args=args, prog_name='wegnerlab', standalone_mode=False)\n"
+        "    print(args[0], 'wegnerlab.verify' in sys.modules)\n"
+    )
+    src = str(Path(wegnerlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = [line for line in proc.stdout.splitlines() if line.endswith(("True", "False"))]
+    assert loaded == [
+        "run False", "dump-matrix False", "lyapunov-sweep False", "verify True"
+    ], proc.stdout
+
+
 def test_verify_never_loads_scipy():
     # a fresh process, as above: every suite, through the click entry point
     script = (

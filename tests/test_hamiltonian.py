@@ -406,6 +406,24 @@ def test_cube_assembly_eigenvalues_are_bitwise_the_dense_spectra(monkeypatch, n,
         assert np.array_equal(_bits(got[t, c]), _bits(want)), (t, c)
 
 
+def test_cube_assembly_distinct_eigenvalues_index_each_instance_once(monkeypatch):
+    # the spectra of a block's distinct operators, one per distinct
+    # diagonal bit pattern (-0.0 and 0.0 apart), with each instance's index
+    # into them; gathered, they are eigenvalues() of the block bitwise
+    cube = Cube(Site(2, 1, (0, 0)), 2)
+    assembly = CubeAssembly.of(cube, InteractionSpec.pair_contact(0, 1.0), 0.01)
+    block = draw_values(BERNOULLI, cube.particle_points(), 5, np.arange(60))
+    block = np.stack([block, np.where(block == 0.0, -0.0, block)], axis=1)
+    shapes = _recorded_eigvalsh(monkeypatch)
+    spectra, index = assembly.distinct_eigenvalues(block)
+    keys = _bits(assembly.diagonals(block)).reshape(120, -1)
+    assert index.shape == (60, 2) and spectra.shape == (len(np.unique(keys, axis=0)), 25)
+    assert sum(k for k, _, _ in shapes) == len(spectra)
+    assert np.array_equal(_bits(spectra[index]), _bits(assembly.eigenvalues(block)))
+    spectra, index = assembly.distinct_eigenvalues(np.empty((0, 4, 2, 5)))
+    assert spectra.shape == (0, 25) and index.shape == (0, 4)
+
+
 def test_cube_assembly_eigenvalues_split_distinct_rows_into_budget_chunks(monkeypatch):
     # 40 distinct uniform rows of dim 49 take four stacked calls of at most
     # 2^15 floats; a dim 183 matrix alone exceeds the budget and is solved

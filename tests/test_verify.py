@@ -161,3 +161,34 @@ def test_timing_hooks_are_looked_up_at_call_time(monkeypatch, tmp_path):
     assert result.exit_code == 0, result.output
     rows = len(out.read_text().splitlines()) - 1
     assert rows > 0 and calls.count("mc_estimate") == rows
+
+
+def _fake_suite(calls, name):
+    def suite():
+        calls.append(name)
+        return verify.SuiteResult(name=name, passed=True, checked=1, worst=0.0, detail="ok")
+
+    return suite
+
+
+def test_a_repeated_suite_runs_once_in_the_order_first_named(monkeypatch):
+    calls = []
+    for name in ("events", "tensor"):
+        monkeypatch.setitem(verify.ALL_SUITES, name, _fake_suite(calls, name))
+    args = ["verify", "--suite", "tensor", "--suite", "events", "--suite", "tensor"]
+    result = CliRunner().invoke(cli.main, args)
+    assert result.exit_code == 0, result.output
+    assert calls == ["tensor", "events"]
+    assert [line.split()[0] for line in result.output.splitlines()] == ["tensor", "events"]
+    calls.clear()
+    assert [r.name for r in verify.run_suites(["events", "events"])] == ["events"]
+
+
+def test_an_unknown_suite_is_refused_before_any_suite_runs(monkeypatch):
+    calls = []
+    for name in verify.ALL_SUITES:
+        monkeypatch.setitem(verify.ALL_SUITES, name, _fake_suite(calls, name))
+    result = CliRunner().invoke(cli.main, ["verify", "--suite", "events", "--suite", "nope"])
+    assert result.exit_code == 2 and calls == []
+    assert "unknown suite 'nope'" in result.output
+    assert "available: " + ", ".join(sorted(verify.ALL_SUITES)) in result.output

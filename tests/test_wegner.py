@@ -842,7 +842,8 @@ def test_prepared_query_is_cached_and_read_only():
     prepared = query.prepared
     assert query.prepared is prepared
     assert prepared.boxes[prepared.box_of].shape == (2, 2, 5, 1)
-    arrays = [prepared.boxes, prepared.box_of, prepared.box.rows, prepared.box.cols]
+    assert prepared.lone.tolist() == [prepared.box_of[0, 0]]
+    arrays = [prepared.boxes, prepared.box_of, prepared.lone, prepared.box.rows, prepared.box.cols]
     for assembly in prepared.assemblies:
         arrays += [assembly.rows, assembly.cols, assembly.vals, assembly.coupling]
     for a in arrays:
@@ -945,15 +946,20 @@ def _dense_decision(query, potentials):
 
 
 def _recording_solves(monkeypatch):
-    """Wrap CubeAssembly.eigenvalues to record each call's (assembly, potentials)."""
+    """Record each solve's (assembly, potentials).
+
+    Every solve goes through CubeAssembly.distinct_eigenvalues: decide's
+    box solve calls it, and the dense fallback's CubeAssembly.eigenvalues
+    calls it once with its own potentials.
+    """
     calls = []
-    solve = CubeAssembly.eigenvalues
+    solve = CubeAssembly.distinct_eigenvalues
 
     def recording(self, potentials):
         calls.append((self, np.array(potentials)))
         return solve(self, potentials)
 
-    monkeypatch.setattr(CubeAssembly, "eigenvalues", recording)
+    monkeypatch.setattr(CubeAssembly, "distinct_eigenvalues", recording)
     return calls
 
 
@@ -1379,6 +1385,118 @@ def test_block_fallback_makes_one_stacked_dense_solve_per_cube(monkeypatch, name
                 assert np.array_equal(rows, potentials[part][near[part]][:, prepared.box_of[c]])
     assert next(dense, None) is None
     assert decisions.tolist() == want
+
+
+def _unstaged_decide(query, potentials):
+    """decide without the staged screen: every trial's full sums margin, then the dense fallback.
+
+    Each chunk of the prepared size forms every trial's sums and takes
+    _sums_margin on them; its near trials are solved densely together, one
+    eigenvalues call per cube.  Returns the decisions and the near mask.
+    """
+    prepared = query.prepared
+    upper = query.eps + prepared.margin
+    singles = prepared.box.eigenvalues(potentials[..., None, :])
+    decisions = np.empty(len(potentials), dtype=bool)
+    near = np.empty(len(potentials), dtype=bool)
+    for start in range(0, len(potentials), prepared.chunk):
+        part = slice(start, start + prepared.chunk)
+        margin = wegner._sums_margin(query, unsorted_sums(singles[part][:, prepared.box_of]), upper)
+        decisions[part] = margin <= query.eps - prepared.margin
+        near[part] = ~decisions[part] & (margin <= upper)
+        if near[part].any():
+            fallen = potentials[part][near[part]]
+            dense = np.stack(
+                [a.eigenvalues(fallen[:, of]) for a, of in zip(prepared.assemblies, prepared.box_of)],
+                axis=1,
+            )
+            decisions[part][near[part]] = wegner._sums_margin(query, dense, upper) <= query.eps
+    return decisions, near
+
+
+def _staged_cases():
+    """(query, lone cubes) for every staged-screen case, over 10^4 trials each."""
+    edge = {L: _config_row("two_volume_edge", L) for L in (2, 3, 4)}
+    cases = {f"two_volume_edge-L{L}": (q, 1) for L, q in edge.items()}
+    for offset, lone in (((1, 0), 1), ((3, 3), 2), ((7, 7), 2), ((0, 7), 1)):
+        cases[f"two_volume_edge-L3-offset{offset}"] = (dataclasses.replace(edge[3], offset=offset), lone)
+    weak = _config_row("variable_edge_weak_coupling", 3)
+    cases["variable-L3-half-h_star"] = (
+        dataclasses.replace(weak, h=h_star(1.0, 1.0, 3, 0.5) / 2.0), 1
+    )
+    for h in (0.5, -0.5):
+        cases[f"variable-L3-h{h}"] = (dataclasses.replace(weak, h=h), 1)
+    cases["fixed_band_center-L8"] = (_config_row("fixed_band_center", 8), 1)
+    cases["two_volume-n3-L1-coupled"] = (
+        EventQuery("two_volume", 3, 1, 1, BERNOULLI, _PAIR, 0.01, 0.05, window=(6.0, 6.4)), 1
+    )
+    cases["two_volume-uniform-n2d1-L3-coupled"] = (
+        dataclasses.replace(edge[3], distribution=_UNIFORM, interaction=_PAIR, h=0.01, eps=0.02,
+                            window=(4.0, 4.1)), 1
+    )
+    return cases
+
+
+_STAGED_CASES = _staged_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_STAGED_CASES))
+def test_staged_screen_decides_as_the_unstaged_one(monkeypatch, name):
+    # decide bounds each one-box cube once per distinct box spectrum and
+    # forms the other sums only for the trials near on those bounds; over
+    # 10^4 trials of each case it gives every decision of the unstaged
+    # screen, and sends the same trials, in the same order and the same
+    # chunks, to the dense fallback.  The cases cover mixed-box and
+    # one-box second cubes, rows where most trials fall back, the n = 1
+    # band-centre atom fields and a measure whose box rows never repeat
+    query, lone = _STAGED_CASES[name]
+    prepared = query.prepared
+    assert len(prepared.lone) == lone
+    trials = 10**4
+    potentials = draw_values(query.distribution, prepared.boxes, 23, np.arange(trials))
+    blocks = [potentials[b : b + prepared.block] for b in range(0, trials, prepared.block)]
+    calls = _recording_solves(monkeypatch)
+    want = [_unstaged_decide(query, block) for block in blocks]
+    want_dense = _dense_solves(query, calls)
+    calls.clear()
+    got = np.concatenate([decide(query, block) for block in blocks])
+    dense = _dense_solves(query, calls)
+    assert np.array_equal(got, np.concatenate([d for d, _ in want]))
+    assert [c for c, _ in dense] == [c for c, _ in want_dense]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(dense, want_dense))
+    assert 0 < np.count_nonzero(got) < trials
+    if query.h != 0.0:
+        fallen = sum(np.count_nonzero(n) for _, n in want)
+        assert fallen > (trials // 2 if abs(query.h) == 0.5 else 0)
+
+
+def test_second_cube_sums_are_formed_only_for_trials_near_on_the_first(monkeypatch):
+    # on a full block of the L = 4 two-volume edge row, the first cube's
+    # bound is taken once per distinct box spectrum, as the sums of that
+    # spectrum with itself; sums that mix two boxes' rows, which the second
+    # cube needs, are formed exactly for the trials whose first-cube bound
+    # is within eps + mu, in trial order, about one trial in six
+    query = _config_row("two_volume_edge", 4)
+    prepared = query.prepared
+    potentials = draw_values(query.distribution, prepared.boxes, 7, np.arange(prepared.block))
+    singles = prepared.box.eigenvalues(potentials[..., None, :])[:, prepared.box_of]
+    first = np.min(wegner._interval_dists(unsorted_sums(singles[:, 0]), *query.window), axis=-1)
+    near = first <= query.eps + prepared.margin
+    assert 0 < np.count_nonzero(near) < len(potentials) // 4
+    formed = []
+
+    def recording(rows):
+        formed.append(np.array(rows))
+        return unsorted_sums(rows)
+
+    monkeypatch.setattr(wegner, "unsorted_sums", recording)
+    decide(query, potentials)
+    per_spectrum = [rows for rows in formed if rows.ndim == 3]
+    per_trial = [rows for rows in formed if rows.ndim == 4]
+    assert all(np.array_equal(rows[:, 0], rows[:, 1]) for rows in per_spectrum)
+    distinct = {row.tobytes() for row in potentials.reshape(-1, 9)}
+    assert sum(map(len, per_spectrum)) == len(distinct)
+    assert np.array_equal(np.concatenate(per_trial), singles[near])
 
 
 def test_band_center_row_decides_without_dense_solves(monkeypatch):
